@@ -10,14 +10,7 @@ at exponent 2/sigma recovers (essentially) second order in time for
 solutions with t**sigma-type initial layers.
 """
 
-from .gridops import (
-    GridFunction,
-    inner,
-    nonlinear_convection,
-    norm_inf,
-    norm_l2,
-    second_difference,
-)
+from .gridops import GridFunction, norm_l2
 from .harness import (
     ConvergenceRow,
     OrderPrediction,
@@ -48,19 +41,14 @@ from .problems import (
     f_half,
     problem_by_name,
 )
-from .quadrature import PIWeights, compute_weights, history_sum
+from .quadrature import PIWeights, compute_weights
 from .scheme import (
     NonconvergenceError,
     SchemeConfig,
     SolveResult,
-    SolverState,
     StabilityViolationError,
     StepReport,
-    first_step,
-    general_step,
-    new_state,
     solve,
-    tridiagonal_solve,
 )
 from .specialfn import gamma
 
@@ -78,23 +66,13 @@ __all__ = [
     "check_mesh_hypotheses",
     "PIWeights",
     "compute_weights",
-    "history_sum",
     "GridFunction",
-    "inner",
     "norm_l2",
-    "norm_inf",
-    "second_difference",
-    "nonlinear_convection",
     "SchemeConfig",
     "StepReport",
-    "SolverState",
     "SolveResult",
     "NonconvergenceError",
     "StabilityViolationError",
-    "tridiagonal_solve",
-    "new_state",
-    "first_step",
-    "general_step",
     "solve",
     "F_MODES",
     "ForcingTerm",

@@ -23,6 +23,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from .harness import (
+    GAMMA_RULES,
     StudyPlan,
     dump_trajectory_csv,
     dump_weights_csv,
@@ -41,7 +42,6 @@ _F_MODE_FLAGS = {
     "endpoint-average": "endpoint_average",
     "interval-average": "interval_average",
 }
-_GAMMA_RULES = ("auto-sigma", "2/(alpha+1)", "2/(alpha+2)")
 
 
 def _parse_config_file(path: str) -> Dict[str, str]:
@@ -86,13 +86,13 @@ def _cast_alpha_list(text: str) -> List[float]:
 
 def _gamma_value(text: str):
     """A gamma flag is either a number or one of the named rules."""
-    if text in _GAMMA_RULES:
+    if text in GAMMA_RULES:
         return text
     try:
         return float(text)
     except ValueError:
         raise ValueError(
-            f"--gamma must be a number or one of {', '.join(_GAMMA_RULES)}; got {text!r}"
+            f"--gamma must be a number or one of {', '.join(GAMMA_RULES)}; got {text!r}"
         ) from None
 
 
@@ -268,12 +268,10 @@ def _cmd_weights_dump(opts: _Options) -> int:
     weights = compute_weights(mesh, alpha)
     out = opts.get("out", str)
     if out is None:
-        print("n,s,weight")
-        for level in range(1, mesh.N + 1):
-            for s in range(1, level + 1):
-                print(f"{level},{s},{float(weights.w[level, s])!r}")
+        dump_weights_csv(weights, sys.stdout)
     else:
-        dump_weights_csv(weights, out)
+        with open(out, "w", newline="") as fh:
+            dump_weights_csv(weights, fh)
         print(f"weights written to {out}")
     return 0
 

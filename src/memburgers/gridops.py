@@ -2,27 +2,20 @@
 
 A grid function holds nodal values (v_0, ..., v_J) on a uniform grid.
 Members of the homogeneous-Dirichlet solution space satisfy v_0 = v_J = 0;
-all inner products and the L2 norm sum over interior nodes only:
+the L2 norm sums over interior nodes only:
 
-    <w, v> = h * sum_{s=1}^{J-1} w_s v_s,    ||w|| = sqrt(<w, w>).
+    ||w|| = sqrt(h * sum_{s=1}^{J-1} w_s^2).
 
-Undivided difference operators used throughout (valid at interior nodes;
-array helpers return full-length arrays with zero boundary entries):
+The time stepper uses two array kernels (valid at interior nodes; they
+return full-length arrays with zero boundary entries): the second divided
+difference
 
-    delta_c w_j = w_{j+1} - w_{j-1}           (wide centered gap)
-    delta_f w_j = w_{j+1} - w_j               shift_f w_j = w_{j+1}
-    delta_b w_j = w_j - w_{j-1}               shift_b w_j = w_{j-1}
+    d2(w)_j = (w_{j+1} - 2 w_j + w_{j-1}) / h**2
 
-and the divided ones
+and the skew-symmetric (Galerkin) convection form
 
-    centered  (w_{j+1} - w_{j-1}) / (2h)
-    second    (w_{j+1} - 2 w_j + w_{j-1}) / h**2
-    staggered (w_{j+1} - w_j) / h   at half nodes j+1/2, j = 0..J-1.
-
-The convection operator is the skew-symmetric (Galerkin) form
-
-    N(w)_j = mean3(w)_j * centered(w)_j
-           = (1/(6h)) * ( w_j delta_c(w)_j + delta_c(w^2)_j ),
+    N(w)_j = mean3(w)_j * (w_{j+1} - w_{j-1}) / (2h)
+           = (1/(6h)) * ( w_j (w_{j+1} - w_{j-1}) + w_{j+1}^2 - w_{j-1}^2 ),
 
 where mean3(w)_j = (w_{j-1} + w_j + w_{j+1})/3.  It satisfies
 <N(w), w> = 0 exactly, which is what the energy stability argument uses.
@@ -31,28 +24,12 @@ where mean3(w)_j = (w_{j-1} + w_j + w_{j+1})/3.  It satisfies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .mesh import SpatialGrid
 
-__all__ = [
-    "GridFunction",
-    "inner",
-    "norm_l2",
-    "norm_inf",
-    "second_difference",
-    "nonlinear_convection",
-    "delta_c",
-    "delta_f",
-    "delta_b",
-    "shift_f",
-    "shift_b",
-    "staggered_diff",
-    "second_diff_values",
-    "convection_values",
-]
+__all__ = ["GridFunction", "norm_l2", "second_diff_values", "convection_values"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,42 +47,14 @@ class GridFunction:
             )
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def zeros(cls, grid: SpatialGrid) -> "GridFunction":
-        return cls(grid=grid, values=np.zeros(grid.J + 1))
-
-    @classmethod
-    def from_callable(cls, grid: SpatialGrid, fn: Callable) -> "GridFunction":
-        return cls(grid=grid, values=np.asarray(fn(grid.x), dtype=float))
-
     @property
     def interior(self) -> np.ndarray:
         """View of the interior values (v_1, ..., v_{J-1})."""
         return self.values[1:-1]
 
 
-def _same_grid(w: GridFunction, v: GridFunction) -> SpatialGrid:
-    gw, gv = w.grid, v.grid
-    if gw is not gv and (gw.J != gv.J or gw.L != gv.L):
-        raise ValueError("grid functions live on different grids")
-    return gw
-
-
-def inner(w: GridFunction, v: GridFunction) -> float:
-    """Discrete inner product h * sum over interior nodes."""
-    g = _same_grid(w, v)
-    return g.h * float(np.dot(w.interior, v.interior))
-
-
 def norm_l2(w: GridFunction) -> float:
     return float(np.sqrt(w.grid.h * np.dot(w.interior, w.interior)))
-
-
-def norm_inf(w: GridFunction) -> float:
-    return float(np.max(np.abs(w.values)))
-
-
-# -- array-level kernels (used by the time stepper; boundary entries zero) --
 
 
 def second_diff_values(v: np.ndarray, h: float) -> np.ndarray:
@@ -120,56 +69,3 @@ def convection_values(v: np.ndarray, h: float) -> np.ndarray:
     sqgap = v[2:] ** 2 - v[:-2] ** 2
     out[1:-1] = (v[1:-1] * gap + sqgap) / (6.0 * h)
     return out
-
-
-def second_difference(w: GridFunction) -> GridFunction:
-    """Second divided difference (w_{j+1} - 2 w_j + w_{j-1})/h^2, zero boundary."""
-    return GridFunction(grid=w.grid, values=second_diff_values(w.values, w.grid.h))
-
-
-def nonlinear_convection(w: GridFunction) -> GridFunction:
-    """Skew-symmetric convection N(w)_j = mean3(w)_j * (w_{j+1} - w_{j-1})/(2h)."""
-    return GridFunction(grid=w.grid, values=convection_values(w.values, w.grid.h))
-
-
-# -- undivided operators for the summation-by-parts identities --
-
-
-def delta_c(v: np.ndarray) -> np.ndarray:
-    """Wide centered gap w_{j+1} - w_{j-1} (zero at the boundary slots)."""
-    out = np.zeros_like(v)
-    out[1:-1] = v[2:] - v[:-2]
-    return out
-
-
-def delta_f(v: np.ndarray) -> np.ndarray:
-    """Forward gap w_{j+1} - w_j (zero in the last slot)."""
-    out = np.zeros_like(v)
-    out[:-1] = v[1:] - v[:-1]
-    return out
-
-
-def delta_b(v: np.ndarray) -> np.ndarray:
-    """Backward gap w_j - w_{j-1} (zero in the first slot)."""
-    out = np.zeros_like(v)
-    out[1:] = v[1:] - v[:-1]
-    return out
-
-
-def shift_f(v: np.ndarray) -> np.ndarray:
-    """Forward shift w_{j+1} (zero in the last slot)."""
-    out = np.zeros_like(v)
-    out[:-1] = v[1:]
-    return out
-
-
-def shift_b(v: np.ndarray) -> np.ndarray:
-    """Backward shift w_{j-1} (zero in the first slot)."""
-    out = np.zeros_like(v)
-    out[1:] = v[:-1]
-    return out
-
-
-def staggered_diff(v: np.ndarray, h: float) -> np.ndarray:
-    """Divided forward differences (w_{j+1} - w_j)/h at the J half nodes."""
-    return (v[1:] - v[:-1]) / h

@@ -27,7 +27,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, TextIO, Tuple, Union
 
 from .gridops import GridFunction, norm_l2
 from .mesh import build_graded_mesh, build_spatial_grid
@@ -242,15 +242,14 @@ def emit_csv(rows: Sequence[ConvergenceRow], path: str) -> None:
             )
 
 
-def dump_weights_csv(weights: PIWeights, path: str) -> None:
-    """Dump the lower-triangular weight table as n,s,weight rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "s", "weight"])
-        for n in range(1, weights.mesh.N + 1):
-            row = weights.w[n]
-            for s in range(1, n + 1):
-                writer.writerow([n, s, _fmt(float(row[s]))])
+def dump_weights_csv(weights: PIWeights, stream: TextIO) -> None:
+    """Write the lower-triangular weight table as n,s,weight rows to an open text stream."""
+    writer = csv.writer(stream)
+    writer.writerow(["n", "s", "weight"])
+    for n in range(1, weights.mesh.N + 1):
+        row = weights.w[n]
+        for s in range(1, n + 1):
+            writer.writerow([n, s, _fmt(float(row[s]))])
 
 
 def dump_trajectory_csv(result, path: str) -> None:

@@ -26,21 +26,22 @@ Both integrals are elementary, which yields the closed forms implemented in
 and on the diagonal w_nn = k_n**(alpha-1) / Gamma(alpha+2).  All weights
 are strictly positive, and the bilinear form the rule induces on level
 sequences is positive semidefinite (the kernel beta is of positive type
-and the rule is exact on the reconstruction itself).
+and the rule is exact on the reconstruction itself).  The closed form
+subtracts nearly equal powers when k_s << t_n, so on strongly graded
+meshes rounding can leave a weight nonpositive; `compute_weights` then
+raises ValueError rather than return the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .gridops import GridFunction
 from .mesh import TemporalMesh
 from .specialfn import gamma
 
-__all__ = ["PIWeights", "compute_weights", "history_sum"]
+__all__ = ["PIWeights", "compute_weights"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,12 +56,6 @@ class PIWeights:
     mesh: TemporalMesh
     alpha: float
     w: np.ndarray  # shape (N+1, N+1)
-
-    def row(self, n: int) -> np.ndarray:
-        """Weights (w_{n,1}, ..., w_{n,n}) for level n (1-based)."""
-        if not 1 <= n <= self.mesh.N:
-            raise ValueError(f"PIWeights.row: n must be in 1..{self.mesh.N}, got {n}")
-        return self.w[n, 1 : n + 1]
 
 
 def compute_weights(mesh: TemporalMesh, alpha: float) -> PIWeights:
@@ -85,43 +80,9 @@ def compute_weights(mesh: TemporalMesh, alpha: float) -> PIWeights:
             lower = (t[n - 1] - t[s - 1]) ** a - (t[n - 1] - t[s]) ** a
             w[n, 1:n] = (upper - lower) / (k[n - 1] * k[s - 1] * g2)
         w[n, n] = k[n - 1] ** (alpha - 1.0) / g2
-
-    if __debug__:
-        for n in range(1, N + 1):
-            assert np.all(w[n, 1 : n + 1] > 0.0), f"nonpositive weight in row {n}"
+        if not np.all(w[n, 1 : n + 1] > 0.0):
+            raise ValueError(
+                f"compute_weights: nonpositive weight in row {n} (smallest "
+                f"{w[n, 1 : n + 1].min():.3e}); the closed form cancels on this mesh"
+            )
     return PIWeights(mesh=mesh, alpha=alpha, w=w)
-
-
-def history_sum(
-    weights: PIWeights,
-    n: int,
-    first_value: GridFunction,
-    half_values: Sequence[GridFunction],
-) -> GridFunction:
-    """Discrete memory integral at level n applied to stored grid functions.
-
-    `first_value` is the level-1 entry (paired with w_{n1} k_1) and
-    `half_values[s-2]` the half-level entry for s = 2..n, so exactly n-1
-    of them are required.  Returns
-
-        w_{n1} k_1 first_value + sum_{s=2}^{n} w_{ns} k_s half_values[s-2].
-    """
-    mesh = weights.mesh
-    if not 1 <= n <= mesh.N:
-        raise ValueError(f"history_sum: n must be in 1..{mesh.N}, got {n}")
-    if len(half_values) != n - 1:
-        raise ValueError(
-            f"history_sum: need exactly {n - 1} half-level entries for n={n}, "
-            f"got {len(half_values)}"
-        )
-    grid = first_value.grid
-    for gf in half_values:
-        if gf.grid is not grid and (gf.grid.J != grid.J or gf.grid.L != grid.L):
-            raise ValueError("history_sum: grid mismatch among history entries")
-
-    k = mesh.k
-    row = weights.w[n]
-    acc = row[1] * k[0] * first_value.values
-    for s in range(2, n + 1):
-        acc = acc + row[s] * k[s - 1] * half_values[s - 2].values
-    return GridFunction(grid=grid, values=acc)

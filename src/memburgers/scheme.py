@@ -7,32 +7,28 @@ One solve advances
 through the levels of a graded mesh.  The memory integral is replaced by
 the product-integration rule (see quadrature), the convection term by the
 skew-symmetric form N(U) (see gridops), and time stepping is of
-Crank-Nicolson type in the half-level unknown V = U^{n-1/2}:
+Crank-Nicolson type.  Every level n = 1..N solves the same system for one
+unknown V,
 
-  step 1:   (U^1 - U^0)/k_1 + N(U^1) = w_11 k_1 d2(U^1) + f^{1/2}
+    a (V - U^{n-1}) + N(V) = w_nn k_n d2(V) + H_n + f^{n-1/2},
 
-  step n:   (2/k_n)(V - U^{n-1}) + N(V)
-                = w_nn k_n d2(V) + H_n + f^{n-1/2},      U^n = 2V - U^{n-1},
+    H_n = sum_{s=1}^{n-1} w_ns k_s d_s,      d_s = d2(V at level s),
 
-where d2 is the second difference and the history term
-
-    H_n = w_n1 k_1 d2(U^1) + sum_{s=2}^{n-1} w_ns k_s d2(U^{s-1/2})
-
-reuses stored second differences of the previously computed unknowns.  The
-first interval's reconstruction takes the value U^1 (not an average), so
-the first step's implicit diffusion acts on U^1 itself.
+where d2 is the second difference.  For n >= 2 the unknown is the half
+level V = U^{n-1/2}, a = 2/k_n and U^n = 2V - U^{n-1}.  The first step is
+the one special case: the first interval's reconstruction takes the value
+U^1 (not an average), so there V = U^1, a = 1/k_1, and H_1 = 0.
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
 strictly diagonally dominant tridiagonal system
 
-    diag  a + 2c,  off-diagonal  -c,
-    a = 2/k_n (first step: 1/k_1),   c = w_nn k_n / h^2,
+    diag  a + 2c,  off-diagonal  -c,      c = w_nn k_n / h^2,
 
 warm-started from U^{n-1} and stopped when the discrete L2 norm of the
 iterate increment drops below eps.
 
-Every step asserts the energy bound
+Every step checks the energy bound
 
     ||U^n|| <= ||U^0|| + 2 sum_{l<=n} k_l ||f^{l-1/2}||   (+ 1e-9 slack),
 
@@ -54,19 +50,15 @@ from scipy.linalg import solve_banded
 from .gridops import GridFunction, convection_values, second_diff_values
 from .mesh import SpatialGrid, TemporalMesh
 from .problems import F_MODES, ManufacturedProblem, f_half
-from .quadrature import PIWeights, compute_weights
+from .quadrature import compute_weights
 
 __all__ = [
     "SchemeConfig",
     "StepReport",
-    "SolverState",
     "SolveResult",
     "NonconvergenceError",
     "StabilityViolationError",
     "tridiagonal_solve",
-    "new_state",
-    "first_step",
-    "general_step",
     "solve",
 ]
 
@@ -97,13 +89,11 @@ class SchemeConfig:
     eps: fixed-point stopping tolerance (discrete L2 of the increment).
     max_steps: fixed-point pass budget per time step.
     f_mode: how f^{n-1/2} is formed (see problems.f_half).
-    include_convection: drop N(.) to solve the linearized problem (debug).
     """
 
     eps: float = 1e-6
     max_steps: int = 300
     f_mode: str = "endpoint_average"
-    include_convection: bool = True
 
     def __post_init__(self) -> None:
         if not self.eps > 0.0:
@@ -128,31 +118,6 @@ class StepReport:
     stability_margin: float
 
 
-class SolverState:
-    """Mutable state of one solve; confined to a single thread.
-
-    After step n completes: `n` is the last computed level, `U_prev` holds
-    U^n, `d_first` the stored second difference of U^1, and `d_half[s-2]`
-    that of U^{s-1/2} for s = 2..n (each used by later history sums).
-    """
-
-    def __init__(self, mesh: TemporalMesh, grid: SpatialGrid, u0_values: np.ndarray):
-        self.n = 0
-        self.U_prev = u0_values
-        self.u0_norm = _l2(u0_values, grid.h)
-        self.forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
-        # row s holds d2(U^1) for s = 1, d2(U^{s-1/2}) for s >= 2
-        self._d = np.zeros((mesh.N + 1, grid.J + 1))
-
-    @property
-    def d_first(self) -> Optional[np.ndarray]:
-        return self._d[1] if self.n >= 1 else None
-
-    @property
-    def d_half(self) -> np.ndarray:
-        return self._d[2 : self.n + 1]
-
-
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """Final level, per-step reports, and (optionally) the full trajectory."""
@@ -168,26 +133,8 @@ class SolveResult:
         return max(r.iterations for r in self.reports)
 
 
-def tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve the tridiagonal system with the given bands.
-
-    lower/upper have length m-1 for an m-unknown system.  Delegates to a
-    banded LAPACK solve; a singular matrix raises scipy's LinAlgError.
-    """
-    diag = np.asarray(diag, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    m = diag.size
-    if rhs.size != m or lower.size != m - 1 or upper.size != m - 1:
-        raise ValueError(
-            f"tridiagonal_solve: inconsistent band lengths "
-            f"(diag {m}, lower {lower.size}, upper {upper.size}, rhs {rhs.size})"
-        )
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
+def tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system held in LAPACK band storage ab, shape (3, m)."""
     return solve_banded((1, 1), ab, rhs)
 
 
@@ -197,35 +144,22 @@ def _l2(values: np.ndarray, h: float) -> float:
 
 
 def _picard(
-    a: float,
-    c: float,
+    ab: np.ndarray,
     rhs_base: np.ndarray,
-    v_start: np.ndarray,
-    grid: SpatialGrid,
+    v: np.ndarray,
+    h: float,
     config: SchemeConfig,
     step: int,
 ) -> Tuple[np.ndarray, int, float]:
-    """Lagged-convection fixed-point loop for one step.
+    """Lagged-convection fixed-point loop for one step, started from v.
 
-    Solves (a + 2c) V_j - c(V_{j+1} + V_{j-1}) = rhs_base_j - N(V)_j at the
-    interior nodes.  Returns (V, passes, final increment norm).
+    Each pass solves ab V = rhs_base - N(V_prev) at the interior nodes.
+    Returns (V, passes, final increment norm).
     """
-    # a > 0 is exactly the strict diagonal dominance margin of the matrix
-    assert a > 0.0 and c > 0.0, "tridiagonal system lost diagonal dominance"
-    m = grid.J - 1
-    diag = np.full(m, a + 2.0 * c)
-    off = np.full(m - 1, -c)
-    h = grid.h
-
-    v = v_start.copy()
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
-        if config.include_convection:
-            rhs = rhs_base - convection_values(v, h)[1:-1]
-        else:
-            rhs = rhs_base
         v_new = np.zeros_like(v)
-        v_new[1:-1] = tridiagonal_solve(off, diag, off, rhs)
+        v_new[1:-1] = tridiagonal_solve(ab, rhs_base - convection_values(v, h)[1:-1])
         increment = _l2(v_new - v, h)
         v = v_new
         if increment < config.eps:
@@ -233,10 +167,7 @@ def _picard(
     raise NonconvergenceError(step=step, iterations=config.max_steps, increment=increment)
 
 
-def _check_stability(
-    state: SolverState, u_new: np.ndarray, h: float, step: int
-) -> float:
-    bound = state.u0_norm + state.forcing_budget
+def _check_stability(bound: float, u_new: np.ndarray, h: float, step: int) -> float:
     margin = bound - _l2(u_new, h)
     if margin < -_STABILITY_SLACK:
         raise StabilityViolationError(
@@ -244,82 +175,6 @@ def _check_stability(
             f"||U^0|| + 2 sum k_l ||f^(l-1/2)|| by {-margin:.3e}"
         )
     return margin
-
-
-def new_state(
-    mesh: TemporalMesh, grid: SpatialGrid, problem: ManufacturedProblem
-) -> SolverState:
-    """State at level 0: U^0 samples u_0 at interior nodes, zero boundary."""
-    u0 = np.zeros(grid.J + 1)
-    u0[1:-1] = np.asarray(problem.u0(grid.x[1:-1]), dtype=float)
-    return SolverState(mesh, grid, u0)
-
-
-def first_step(
-    state: SolverState,
-    mesh: TemporalMesh,
-    grid: SpatialGrid,
-    weights: PIWeights,
-    problem: ManufacturedProblem,
-    config: SchemeConfig,
-) -> Tuple[GridFunction, StepReport]:
-    """Advance from U^0 to U^1; the unknown is the full level U^1."""
-    if state.n != 0:
-        raise ValueError(f"first_step: state is at level {state.n}, expected 0")
-    k1 = float(mesh.k[0])
-    h = grid.h
-    fh = f_half(problem.forcing, mesh, 1, config.f_mode, grid)
-    a = 1.0 / k1
-    c = weights.w[1, 1] * k1 / (h * h)
-    rhs_base = state.U_prev[1:-1] / k1 + fh.values[1:-1]
-
-    u1, passes, increment = _picard(a, c, rhs_base, state.U_prev, grid, config, step=1)
-
-    state.forcing_budget += 2.0 * k1 * _l2(fh.values, h)
-    margin = _check_stability(state, u1, h, step=1)
-    state._d[1] = second_diff_values(u1, h)
-    state.U_prev = u1
-    state.n = 1
-    report = StepReport(step=1, iterations=passes, final_increment=increment, stability_margin=margin)
-    return GridFunction(grid=grid, values=u1), report
-
-
-def general_step(
-    state: SolverState,
-    mesh: TemporalMesh,
-    grid: SpatialGrid,
-    weights: PIWeights,
-    problem: ManufacturedProblem,
-    config: SchemeConfig,
-) -> Tuple[GridFunction, StepReport]:
-    """Advance one level n >= 2; the unknown is V = U^{n-1/2}."""
-    n = state.n + 1
-    if n < 2:
-        raise ValueError("general_step: take first_step before general steps")
-    if n > mesh.N:
-        raise ValueError(f"general_step: mesh has only {mesh.N} levels")
-    kn = float(mesh.k[n - 1])
-    h = grid.h
-    fh = f_half(problem.forcing, mesh, n, config.f_mode, grid)
-
-    # history term H_n over stored second differences (rows 1..n-1)
-    coeffs = weights.w[n, 1:n] * mesh.k[: n - 1]
-    history = coeffs @ state._d[1:n]
-
-    a = 2.0 / kn
-    c = weights.w[n, n] * kn / (h * h)
-    rhs_base = a * state.U_prev[1:-1] + history[1:-1] + fh.values[1:-1]
-
-    v, passes, increment = _picard(a, c, rhs_base, state.U_prev, grid, config, step=n)
-    u_new = 2.0 * v - state.U_prev
-
-    state.forcing_budget += 2.0 * kn * _l2(fh.values, h)
-    margin = _check_stability(state, u_new, h, step=n)
-    state._d[n] = second_diff_values(v, h)
-    state.U_prev = u_new
-    state.n = n
-    report = StepReport(step=n, iterations=passes, final_increment=increment, stability_margin=margin)
-    return GridFunction(grid=grid, values=u_new), report
 
 
 def solve(
@@ -339,19 +194,41 @@ def solve(
         raise ValueError(
             f"solve: alpha {alpha} does not match problem alpha {problem.alpha}"
         )
-    weights = compute_weights(mesh, alpha)
-    state = new_state(mesh, grid, problem)
+    w = compute_weights(mesh, alpha).w
+    h = grid.h
+    u_prev = np.zeros(grid.J + 1)
+    u_prev[1:-1] = np.asarray(problem.u0(grid.x[1:-1]), dtype=float)
+    u0_norm = _l2(u_prev, h)
+    forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
+    d = np.zeros((mesh.N + 1, grid.J + 1))  # row s: d2 of the unknown of step s
+    ab = np.empty((3, grid.J - 1))
 
-    trajectory = [GridFunction(grid=grid, values=state.U_prev)] if keep_trajectory else None
+    u = GridFunction(grid=grid, values=u_prev)
+    trajectory = [u] if keep_trajectory else None
     reports = []
+    for n in range(1, mesh.N + 1):
+        kn = float(mesh.k[n - 1])
+        a = (1.0 if n == 1 else 2.0) / kn
+        c = w[n, n] * kn / (h * h)
+        if not (a > 0.0 and c > 0.0):
+            # a > 0 is exactly the strict diagonal dominance margin of the matrix
+            raise ValueError(f"step {n}: tridiagonal system lost diagonal dominance (c = {c})")
+        ab[0] = ab[2] = -c
+        ab[1] = a + 2.0 * c
+        fh = f_half(problem.forcing, mesh, n, config.f_mode, grid).values
+        history = (w[n, 1:n] * mesh.k[: n - 1]) @ d[1:n]  # H_n; zero at n = 1
+        scaled = u_prev[1:-1] / kn if n == 1 else a * u_prev[1:-1]
+        rhs_base = scaled + history[1:-1] + fh[1:-1]
 
-    u, report = first_step(state, mesh, grid, weights, problem, config)
-    reports.append(report)
-    if trajectory is not None:
-        trajectory.append(u)
-    for _ in range(2, mesh.N + 1):
-        u, report = general_step(state, mesh, grid, weights, problem, config)
-        reports.append(report)
+        v, passes, increment = _picard(ab, rhs_base, u_prev, h, config, step=n)
+        u_new = v if n == 1 else 2.0 * v - u_prev
+
+        forcing_budget += 2.0 * kn * _l2(fh, h)
+        margin = _check_stability(u0_norm + forcing_budget, u_new, h, step=n)
+        d[n] = second_diff_values(v, h)
+        u_prev = u_new
+        u = GridFunction(grid=grid, values=u_new)
+        reports.append(StepReport(n, passes, increment, margin))
         if trajectory is not None:
             trajectory.append(u)
 

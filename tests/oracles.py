@@ -5,7 +5,14 @@ vectorized assembly: weights come from nested adaptive quadrature of the
 defining double integral, trajectories from dense nonlinear solves with
 loop-built operators, and the PDE residual from finite-difference
 derivatives of the exact solution plus adaptive quadrature of the memory
-integral.
+integral.  The undivided difference and shift operators
+
+    delta_c w_j = w_{j+1} - w_{j-1}           (wide centered gap)
+    delta_f w_j = w_{j+1} - w_j               shift_f w_j = w_{j+1}
+    delta_b w_j = w_j - w_{j-1}               shift_b w_j = w_{j-1}
+
+and the staggered difference (w_{j+1} - w_j)/h at the half nodes are the
+reference operators of the summation-by-parts identity tests.
 """
 
 from __future__ import annotations
@@ -18,6 +25,46 @@ from scipy.optimize import root
 
 from memburgers.problems import f_half
 from memburgers.quadrature import compute_weights
+
+
+def delta_c(v: np.ndarray) -> np.ndarray:
+    """Wide centered gap w_{j+1} - w_{j-1} (zero at the boundary slots)."""
+    out = np.zeros_like(v)
+    out[1:-1] = v[2:] - v[:-2]
+    return out
+
+
+def delta_f(v: np.ndarray) -> np.ndarray:
+    """Forward gap w_{j+1} - w_j (zero in the last slot)."""
+    out = np.zeros_like(v)
+    out[:-1] = v[1:] - v[:-1]
+    return out
+
+
+def delta_b(v: np.ndarray) -> np.ndarray:
+    """Backward gap w_j - w_{j-1} (zero in the first slot)."""
+    out = np.zeros_like(v)
+    out[1:] = v[1:] - v[:-1]
+    return out
+
+
+def shift_f(v: np.ndarray) -> np.ndarray:
+    """Forward shift w_{j+1} (zero in the last slot)."""
+    out = np.zeros_like(v)
+    out[:-1] = v[1:]
+    return out
+
+
+def shift_b(v: np.ndarray) -> np.ndarray:
+    """Backward shift w_{j-1} (zero in the first slot)."""
+    out = np.zeros_like(v)
+    out[1:] = v[:-1]
+    return out
+
+
+def staggered_diff(v: np.ndarray, h: float) -> np.ndarray:
+    """Divided forward differences (w_{j+1} - w_j)/h at the J half nodes."""
+    return (v[1:] - v[:-1]) / h
 
 
 def gamma_by_integral(q: float) -> float:

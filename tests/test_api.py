@@ -1,0 +1,46 @@
+"""The public surface: what the package exports, what the README documents,
+and what the benchmark in bench/run.py relies on."""
+
+import ast
+from pathlib import Path
+
+import memburgers
+from memburgers import scheme
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench" / "run.py"
+
+
+def _bench_module():
+    return ast.parse(BENCH.read_text(), filename=str(BENCH))
+
+
+def test_all_names_resolve_and_are_documented():
+    readme = (ROOT / "README.md").read_text()
+    for name in memburgers.__all__:
+        assert hasattr(memburgers, name), f"memburgers.__all__ names missing {name!r}"
+        assert f"`{name}`" in readme, f"README does not document {name!r}"
+
+
+def test_bench_imports_resolve():
+    names = [
+        alias.name
+        for node in ast.walk(_bench_module())
+        if isinstance(node, ast.ImportFrom) and node.module == "memburgers"
+        for alias in node.names
+    ]
+    assert names, "bench/run.py no longer imports from memburgers"
+    for name in names:
+        assert hasattr(memburgers, name), f"bench/run.py imports missing {name!r}"
+
+
+def test_bench_scheme_callees_exist():
+    callees = None
+    for node in ast.walk(_bench_module()):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SCHEME_CALLEES" for t in node.targets
+        ):
+            callees = ast.literal_eval(node.value)
+    assert callees, "bench/run.py no longer defines SCHEME_CALLEES"
+    for attr in callees:
+        assert hasattr(scheme, attr), f"memburgers.scheme has no {attr!r}"

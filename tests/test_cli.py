@@ -225,6 +225,29 @@ def test_module_entry_point_subprocess():
     assert "study-time" in proc.stdout
 
 
+def _package_env():
+    """Environment whose child interpreters import the package under test,
+    not another installed copy."""
+    src = str(Path(memburgers.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_nonpositive_weights_exit_2_under_optimize():
+    # the weight check must not be an assert: under -O it would vanish and
+    # the solve would print an error from nonpositive weights
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "memburgers.cli", "solve", "--example", "1",
+         "--alpha", "0.25", "--gamma", "6", "--N", "512", "--J", "64"],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error_l2=" not in proc.stdout
+    assert "nonpositive weight" in proc.stderr
+
+
 SOLVE_ARGS = ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1.0",
               "--N", "2", "--J", "8"]
 
@@ -241,15 +264,11 @@ def test_console_script_subprocess():
         f"import sys; sys.argv[0] = 'memburgers'; "
         f"from {module} import {attr}; sys.exit({attr}())"
     )
-    # the child must import the package under test, not another installed copy
-    src = str(Path(memburgers.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, *SOLVE_ARGS],
         capture_output=True,
         text=True,
-        env=env,
+        env=_package_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "error_l2=" in proc.stdout

@@ -207,7 +207,8 @@ def test_dump_weights_csv_round_trip(tmp_path):
     mesh = build_graded_mesh(1.0, 4, 1.5)
     weights = compute_weights(mesh, 0.3)
     path = tmp_path / "weights.csv"
-    dump_weights_csv(weights, str(path))
+    with open(path, "w", newline="") as fh:
+        dump_weights_csv(weights, fh)
     with open(path, newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 4 * 5 // 2  # triangular count

@@ -4,9 +4,8 @@ the structural properties the stability theory rests on."""
 import numpy as np
 import pytest
 
-from memburgers.gridops import GridFunction
-from memburgers.mesh import build_graded_mesh, build_mesh_from_levels, build_spatial_grid
-from memburgers.quadrature import compute_weights, history_sum
+from memburgers.mesh import build_graded_mesh, build_mesh_from_levels
+from memburgers.quadrature import compute_weights
 from memburgers.specialfn import gamma
 
 from oracles import weight_by_quadrature
@@ -99,54 +98,30 @@ def test_memory_pairing_positive_semidefinite():
 
 
 def test_history_sum_constant_history_analytic():
-    # one interior node, uniform 3-step mesh, all stored values equal to 1:
-    # the result is the discrete memory integral of the constant 1
-    grid = build_spatial_grid(1.0, 2)
+    # uniform 3-step mesh, every stored value equal to 1: the weighted row
+    # sum the scheme applies is the discrete memory integral of the constant 1
     mesh = build_graded_mesh(1.0, 3, 1.0)
-    alpha = 0.5
-    w = compute_weights(mesh, alpha)
-    one = GridFunction(grid=grid, values=np.array([0.0, 1.0, 0.0]))
-    out = history_sum(w, 3, one, [one, one])
-    expected_scalar = float(np.dot(w.w[3, 1:4], mesh.k))
+    w = compute_weights(mesh, 0.5)
+    row_sum = float(np.dot(w.w[3, 1:4], mesh.k))
     analytic = (mesh.t[3] ** 1.5 - mesh.t[2] ** 1.5) / (mesh.k[2] * gamma(2.5))
-    assert abs(expected_scalar - analytic) <= 1e-12
-    assert abs(out.values[1] - analytic) <= 1e-12
-    assert out.values[0] == 0.0 and out.values[2] == 0.0
+    assert abs(row_sum - analytic) <= 1e-12
 
 
 def test_history_sum_level_one_uses_only_first_value():
-    grid = build_spatial_grid(1.0, 4)
+    # the table is lower triangular, so a full-row product at level 1 sees
+    # only the first stored value whatever the later rows hold
     mesh = build_graded_mesh(1.0, 2, 1.3)
     w = compute_weights(mesh, 0.4)
-    first = GridFunction(grid=grid, values=np.array([0.0, 2.0, -1.0, 3.0, 0.0]))
-    out = history_sum(w, 1, first, [])
-    assert np.allclose(out.values, w.w[1, 1] * mesh.k[0] * first.values, rtol=1e-15)
+    first = np.array([0.0, 2.0, -1.0, 3.0, 0.0])
+    stored = np.vstack([first, np.full(5, 7.0)])
+    out = (w.w[1, 1:] * mesh.k) @ stored
+    assert np.allclose(out, w.w[1, 1] * mesh.k[0] * first, rtol=1e-15)
 
 
-def test_history_sum_validation():
-    grid = build_spatial_grid(1.0, 4)
-    other = build_spatial_grid(1.0, 8)
-    mesh = build_graded_mesh(1.0, 3, 1.0)
-    w = compute_weights(mesh, 0.5)
-    gf = GridFunction.zeros(grid)
-    with pytest.raises(ValueError):
-        history_sum(w, 3, gf, [gf])  # needs two half-level entries
-    with pytest.raises(ValueError):
-        history_sum(w, 0, gf, [])
-    with pytest.raises(ValueError):
-        history_sum(w, 4, gf, [gf, gf, gf])
-    with pytest.raises(ValueError):
-        history_sum(w, 2, gf, [GridFunction.zeros(other)])
-
-
-def test_row_accessor():
-    mesh = build_graded_mesh(1.0, 5, 1.5)
-    w = compute_weights(mesh, 0.3)
-    assert np.array_equal(w.row(3), w.w[3, 1:4])
-    with pytest.raises(ValueError):
-        w.row(0)
-    with pytest.raises(ValueError):
-        w.row(6)
+def test_nonpositive_weights_raise_value_error():
+    # strong grading cancels the closed form's nearly equal powers
+    with pytest.raises(ValueError, match="row"):
+        compute_weights(build_graded_mesh(1.0, 512, 6.0), 0.25)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])

@@ -1,12 +1,11 @@
-"""Time stepper tests: the tridiagonal core, Picard behavior, step-by-step
-state bookkeeping, energy margins, and agreement with an independently
-assembled dense-solver oracle."""
+"""Time stepper tests: the tridiagonal core, Picard behavior, the guards,
+energy margins, and agreement with an independently assembled
+dense-solver oracle."""
 
 import numpy as np
 import pytest
 
 from memburgers import scheme
-from memburgers.gridops import second_diff_values
 from memburgers.mesh import build_graded_mesh, build_mesh_from_levels, build_spatial_grid
 from memburgers.problems import (
     ManufacturedProblem,
@@ -15,15 +14,11 @@ from memburgers.problems import (
     example2,
     f_half,
 )
-from memburgers.quadrature import compute_weights
+from memburgers.quadrature import PIWeights, compute_weights
 from memburgers.scheme import (
     NonconvergenceError,
     SchemeConfig,
-    SolverState,
     StabilityViolationError,
-    first_step,
-    general_step,
-    new_state,
     solve,
     tridiagonal_solve,
 )
@@ -42,8 +37,17 @@ def _zero_problem(alpha=0.5):
     )
 
 
+def _bands(lower, diag, upper):
+    """LAPACK band storage of a tridiagonal matrix (unused corners zero)."""
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = upper
+    ab[1] = diag
+    ab[2, :-1] = lower
+    return ab
+
+
 def test_tridiagonal_hand_solution():
-    x = tridiagonal_solve([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0], [1.0, 0.0, 1.0])
+    x = tridiagonal_solve(_bands([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0]), [1.0, 0.0, 1.0])
     assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
 
 
@@ -58,15 +62,15 @@ def test_tridiagonal_matches_dense_solve(m):
     if m > 1:
         full += np.diag(lower, -1) + np.diag(upper, 1)
     expected = np.linalg.solve(full, rhs)
-    got = tridiagonal_solve(lower, diag, upper, rhs)
+    got = tridiagonal_solve(_bands(lower, diag, upper), rhs)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-13)
 
 
 def test_tridiagonal_band_length_validation():
     with pytest.raises(ValueError):
-        tridiagonal_solve([1.0], [2.0, 2.0, 2.0], [1.0, 1.0], [1.0, 1.0, 1.0])
+        tridiagonal_solve(np.ones((2, 3)), [1.0, 1.0, 1.0])  # one band missing
     with pytest.raises(ValueError):
-        tridiagonal_solve([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0], [1.0, 1.0])
+        tridiagonal_solve(_bands([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0]), [1.0, 1.0])
 
 
 def test_scheme_config_validation():
@@ -89,47 +93,13 @@ def test_zero_data_stays_exactly_zero():
     assert all(r.iterations == 1 for r in result.reports)
 
 
-def test_first_step_without_convection_is_one_tridiagonal_solve():
-    # with N(.) switched off the fixed point is reached after one solve and
-    # certified on the second (increment exactly 0); the result must match
-    # a directly assembled solve bit for bit
-    alpha = 0.5
-    problem = example1(alpha)
-    mesh = build_graded_mesh(1.0, 4, 1.0)
-    grid = build_spatial_grid(1.0, 16)
-    weights = compute_weights(mesh, alpha)
-    config = SchemeConfig(f_mode="endpoint_average", include_convection=False)
-
-    state = new_state(mesh, grid, problem)
-    u0 = state.U_prev.copy()
-    u1, report = first_step(state, mesh, grid, weights, problem, config)
-
-    k1 = float(mesh.k[0])
-    h = grid.h
-    fh = f_half(problem.forcing, mesh, 1, config.f_mode, grid)
-    a = 1.0 / k1
-    c = weights.w[1, 1] * k1 / (h * h)
-    m = grid.J - 1
-    diag = np.full(m, a + 2.0 * c)
-    off = np.full(m - 1, -c)
-    rhs = u0[1:-1] / k1 + fh.values[1:-1]
-    expected = np.zeros(grid.J + 1)
-    expected[1:-1] = tridiagonal_solve(off, diag, off, rhs)
-
-    assert np.array_equal(u1.values, expected)
-    assert report.iterations == 2
-    assert report.final_increment == 0.0
-
-
 def test_first_step_matches_dense_oracle():
     alpha = 0.5
     problem = example1(alpha)
     mesh = build_graded_mesh(1.0, 8, 1.0)
     grid = build_spatial_grid(1.0, 16)
-    weights = compute_weights(mesh, alpha)
     config = SchemeConfig(eps=1e-11, f_mode="endpoint_average")
-    state = new_state(mesh, grid, problem)
-    u1, _ = first_step(state, mesh, grid, weights, problem, config)
+    u1 = solve(problem, mesh, grid, alpha, config, keep_trajectory=True).trajectory[1]
     reference = dense_trajectory(problem, mesh, grid, alpha, config.f_mode)
     assert np.max(np.abs(u1.values - reference[1])) <= 1e-8
 
@@ -192,57 +162,26 @@ def test_energy_bound_recomputed_from_trajectory():
 
 
 def test_stability_check_raises_on_violation():
-    mesh = build_graded_mesh(1.0, 2, 1.0)
     grid = build_spatial_grid(1.0, 4)
-    state = SolverState(mesh, grid, np.zeros(grid.J + 1))
     too_big = np.zeros(grid.J + 1)
     too_big[1:-1] = 1.0
     with pytest.raises(StabilityViolationError):
-        scheme._check_stability(state, too_big, grid.h, step=1)
+        scheme._check_stability(0.0, too_big, grid.h, step=1)
 
 
-def test_state_progression_and_stored_differences():
-    alpha = 0.4
-    problem = example1(alpha)
-    mesh = build_graded_mesh(1.0, 3, 1.2)
-    grid = build_spatial_grid(1.0, 12)
-    weights = compute_weights(mesh, alpha)
-    config = SchemeConfig(eps=1e-10)
+def test_lost_diagonal_dominance_raises(monkeypatch):
+    # a zero diagonal weight leaves no implicit diffusion; the step must
+    # refuse it with a ValueError, which still fires under python -O
+    def zero_diagonal(mesh, alpha):
+        w = compute_weights(mesh, alpha).w.copy()
+        w[2, 2] = 0.0
+        return PIWeights(mesh=mesh, alpha=alpha, w=w)
 
-    state = new_state(mesh, grid, problem)
-    assert state.n == 0
-    assert state.d_first is None
-    assert state.d_half.shape == (0, grid.J + 1)
-
-    u1, r1 = first_step(state, mesh, grid, weights, problem, config)
-    assert state.n == 1 and r1.step == 1
-    assert np.array_equal(state.d_first, second_diff_values(u1.values, grid.h))
-    assert state.d_half.shape == (0, grid.J + 1)
-
-    u1_vals = u1.values.copy()
-    u2, r2 = general_step(state, mesh, grid, weights, problem, config)
-    assert state.n == 2 and r2.step == 2
-    v = 0.5 * (u2.values + u1_vals)  # the stored unknown is the half level
-    assert np.allclose(state.d_half[0], second_diff_values(v, grid.h), atol=1e-10)
-
-
-def test_step_order_misuse_raises():
-    alpha = 0.5
-    problem = example1(alpha)
-    mesh = build_graded_mesh(1.0, 2, 1.0)
+    monkeypatch.setattr(scheme, "compute_weights", zero_diagonal)
+    mesh = build_graded_mesh(1.0, 3, 1.0)
     grid = build_spatial_grid(1.0, 8)
-    weights = compute_weights(mesh, alpha)
-    config = SchemeConfig()
-
-    state = new_state(mesh, grid, problem)
-    with pytest.raises(ValueError):
-        general_step(state, mesh, grid, weights, problem, config)
-    first_step(state, mesh, grid, weights, problem, config)
-    with pytest.raises(ValueError):
-        first_step(state, mesh, grid, weights, problem, config)
-    general_step(state, mesh, grid, weights, problem, config)
-    with pytest.raises(ValueError):
-        general_step(state, mesh, grid, weights, problem, config)  # past mesh.N
+    with pytest.raises(ValueError, match="step 2"):
+        solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
 
 
 def test_alpha_mismatch_raises():
