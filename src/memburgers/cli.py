@@ -27,13 +27,13 @@ from .harness import (
     StudyPlan,
     dump_trajectory_csv,
     dump_weights_csv,
-    emit_csv,
     error_at_final_time,
+    gamma_from_rule,
     resolve_gamma,
     run_study,
 )
 from .mesh import build_graded_mesh, build_spatial_grid, check_mesh_hypotheses
-from .problems import F_MODES, problem_by_name
+from .problems import problem_by_name
 from .quadrature import compute_weights
 from .scheme import NonconvergenceError, SchemeConfig, solve
 
@@ -252,16 +252,7 @@ def _print_rows(rows) -> None:
 
 def _cmd_weights_dump(opts: _Options) -> int:
     alpha = opts.get("alpha", float, required=True)
-    gamma_rule = opts.get("gamma", _gamma_value, required=True)
-    if isinstance(gamma_rule, str):
-        if gamma_rule == "2/(alpha+1)":
-            gamma = max(1.0, 2.0 / (alpha + 1.0))
-        elif gamma_rule == "2/(alpha+2)":
-            gamma = 1.0  # 2/(alpha+2) < 1 for alpha in (0,1)
-        else:
-            raise ValueError("weights-dump: auto-sigma needs a problem; give a number")
-    else:
-        gamma = gamma_rule
+    gamma = gamma_from_rule(opts.get("gamma", _gamma_value, required=True), alpha)
     n = opts.get("N", int, required=True)
     t_final = opts.get("T", float, default=1.0)
     mesh = build_graded_mesh(t_final, n, gamma)

@@ -6,9 +6,10 @@ the L2 norm sums over interior nodes only:
 
     ||w|| = sqrt(h * sum_{s=1}^{J-1} w_s^2).
 
-The time stepper uses two array kernels (valid at interior nodes; they
-return full-length arrays with zero boundary entries): the second divided
-difference
+The norm and the two operators the time stepper uses are array kernels
+that take nodal values and h.  The operators are valid at interior nodes
+and return full-length arrays with zero boundary entries: the second
+divided difference
 
     d2(w)_j = (w_{j+1} - 2 w_j + w_{j-1}) / h**2
 
@@ -53,8 +54,9 @@ class GridFunction:
         return self.values[1:-1]
 
 
-def norm_l2(w: GridFunction) -> float:
-    return float(np.sqrt(w.grid.h * np.dot(w.interior, w.interior)))
+def norm_l2(values: np.ndarray, h: float) -> float:
+    v = values[1:-1]
+    return float(np.sqrt(h * np.dot(v, v)))
 
 
 def second_diff_values(v: np.ndarray, h: float) -> np.ndarray:

@@ -27,7 +27,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .gridops import GridFunction, norm_l2
 from .mesh import build_graded_mesh, build_spatial_grid
@@ -125,8 +125,7 @@ def error_at_final_time(
 ) -> float:
     """Discrete L2 distance between the computed final level and the exact solution."""
     exact = problem.exact(u_final.grid.x, t_final)
-    diff = GridFunction(grid=u_final.grid, values=u_final.values - exact)
-    return norm_l2(diff)
+    return norm_l2(u_final.values - exact, u_final.grid.h)
 
 
 def observed_rate(error_coarse: float, error_fine: float) -> float:
@@ -156,13 +155,26 @@ def resolve_gamma(
     rule: Union[float, str], problem: ManufacturedProblem, f_mode: str
 ) -> float:
     """Turn a plan/CLI gamma rule into a concrete grading exponent >= 1."""
+    return gamma_from_rule(rule, problem.alpha, lambda: problem.sigma_for(f_mode))
+
+
+def gamma_from_rule(
+    rule: Union[float, str], alpha: float, sigma: Optional[Callable[[], float]] = None
+) -> float:
+    """Grading exponent >= 1 for a gamma rule at memory exponent alpha.
+
+    auto-sigma takes 2/sigma(), the problem's regularity index, and is
+    refused when no sigma is given.
+    """
     if isinstance(rule, str):
         if rule == "2/(alpha+1)":
-            value = 2.0 / (problem.alpha + 1.0)
+            value = 2.0 / (alpha + 1.0)
         elif rule == "2/(alpha+2)":
-            value = 2.0 / (problem.alpha + 2.0)
+            value = 2.0 / (alpha + 2.0)
         elif rule == "auto-sigma":
-            value = 2.0 / problem.sigma_for(f_mode)
+            if sigma is None:
+                raise ValueError("gamma rule auto-sigma needs a problem; give a number")
+            value = 2.0 / sigma()
         else:
             raise ValueError(f"resolve_gamma: unknown rule {rule!r}")
     else:

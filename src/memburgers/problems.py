@@ -3,15 +3,21 @@
     u_t + u u_x - I^alpha(u_xx) = f,   u(0,t) = u(L,t) = 0,   u(x,0) = u_0(x),
 
 on [0, 1] x (0, T].  Forcings are stored symbolically as sums of separable
-terms c * g(x) * t**p with p > -1, so the per-step source f^{n-1/2} can be
-formed three ways:
+terms c_i * g_i(x) * t**p_i with p_i > -1, so the per-step source is
 
-    midpoint           f(x, t_{n-1/2})
-    endpoint_average   ( f(x, t_{n-1}) + f(x, t_n) ) / 2
-    interval_average   (1/k_n) int_{t_{n-1}}^{t_n} f(x, t) dt   (exact)
+    f^{n-1/2} = sum_i c_i tau_i(n) g_i,
 
-The interval average integrates t**p in closed form, which is what makes a
-forcing with a weakly singular t**(alpha-1) term usable from the first step.
+where only the time factor tau_i(n) depends on the step.  It is formed one
+of three ways:
+
+    midpoint           t_{n-1/2}**p
+    endpoint_average   ( t_{n-1}**p + t_n**p ) / 2
+    interval_average   (1/k_n) int_{t_{n-1}}^{t_n} t**p dt   (exact)
+
+f_half builds the table of c_i tau_i(n) for all steps and evaluates each
+profile g_i once on the grid.  The interval average integrates t**p in
+closed form, which is what makes a forcing with a weakly singular
+t**(alpha-1) term usable from the first step.
 
 Each problem records a regularity index sigma per supported f mode: the
 exact solution and forcing satisfy bounds of the type
@@ -34,7 +40,6 @@ from typing import Callable, Mapping, Tuple
 
 import numpy as np
 
-from .gridops import GridFunction
 from .mesh import SpatialGrid, TemporalMesh
 from .specialfn import gamma
 
@@ -98,27 +103,9 @@ class ForcingTerm:
 
 @dataclass(frozen=True)
 class SeparableForcing:
-    """Finite sum of separable terms; evaluable pointwise and integrable in t."""
+    """Finite sum of separable terms; see f_half for the per-step sources."""
 
     terms: Tuple[ForcingTerm, ...]
-
-    @property
-    def min_exponent(self) -> float:
-        # an empty forcing is identically zero; 0.0 keeps every mode usable
-        return min((term.exponent for term in self.terms), default=0.0)
-
-    def __call__(self, x, t: float):
-        """Pointwise value f(x, t); t = 0 requires all exponents >= 0."""
-        t = float(t)
-        if t < 0.0:
-            raise ValueError(f"SeparableForcing: t must be >= 0, got {t}")
-        if t == 0.0 and self.min_exponent < 0.0:
-            raise ValueError("SeparableForcing: singular term, f(x, 0) undefined")
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x)
-        for term in self.terms:
-            acc += term.coefficient * t**term.exponent * term.profile(x)
-        return acc
 
 
 @dataclass(frozen=True)
@@ -239,44 +226,37 @@ def problem_by_name(name: str, alpha: float) -> ManufacturedProblem:
 def f_half(
     forcing: SeparableForcing,
     mesh: TemporalMesh,
-    n: int,
     mode: str,
     grid: SpatialGrid,
-) -> GridFunction:
-    """Per-step source f^{n-1/2} on the grid, for step n (1-based).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-step sources of a whole solve: f^{n-1/2} = factors[n-1] @ profiles.
 
-    midpoint and endpoint_average evaluate the forcing pointwise;
-    interval_average uses the exact antiderivative of each t**p term:
+    Returns factors, shape (N, m), whose column i is c_i times term i's time
+    factor at every step, and profiles, shape (m, J+1), each g_i evaluated
+    once on grid.x.  interval_average uses the exact antiderivative
 
         (1/k_n) int_{t_{n-1}}^{t_n} t**p dt
             = (t_n**(p+1) - t_{n-1}**(p+1)) / ((p+1) k_n).
 
     endpoint_average at n = 1 needs f(x, 0), hence all exponents >= 0.
     """
-    if not 1 <= n <= mesh.N:
-        raise ValueError(f"f_half: n must be in 1..{mesh.N}, got {n}")
     if mode not in F_MODES:
         raise ValueError(f"f_half: unknown f mode {mode!r}")
-
-    t0 = float(mesh.t[n - 1])
-    t1 = float(mesh.t[n])
-    kn = float(mesh.k[n - 1])
-    x = grid.x
-
+    p = np.array([term.exponent for term in forcing.terms])
+    c = np.array([term.coefficient for term in forcing.terms])
+    t0 = mesh.t[:-1, None]
+    t1 = mesh.t[1:, None]
     if mode == "midpoint":
-        values = forcing(x, 0.5 * (t0 + t1))
+        tau = (0.5 * (t0 + t1)) ** p
     elif mode == "endpoint_average":
-        if n == 1 and forcing.min_exponent < 0.0:
+        if np.any(p < 0.0):
             raise ValueError(
                 "f_half: endpoint_average undefined at t=0 for a singular forcing; "
                 "use interval_average"
             )
-        values = 0.5 * (forcing(x, t0) + forcing(x, t1))
+        tau = 0.5 * (t0**p + t1**p)
     else:  # interval_average
-        values = np.zeros_like(x)
-        for term in forcing.terms:
-            p1 = term.exponent + 1.0
-            avg = (t1**p1 - t0**p1) / (p1 * kn)
-            values += term.coefficient * avg * term.profile(x)
-
-    return GridFunction(grid=grid, values=values)
+        tau = (t1 ** (p + 1.0) - t0 ** (p + 1.0)) / ((p + 1.0) * mesh.k[:, None])
+    profiles = np.array([term.profile(grid.x) for term in forcing.terms])
+    # the reshape gives an empty forcing shape (0, J+1), so its sources are zero
+    return c * tau, profiles.reshape(len(forcing.terms), grid.J + 1)

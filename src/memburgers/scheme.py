@@ -17,7 +17,10 @@ unknown V,
 where d2 is the second difference.  For n >= 2 the unknown is the half
 level V = U^{n-1/2}, a = 2/k_n and U^n = 2V - U^{n-1}.  The first step is
 the one special case: the first interval's reconstruction takes the value
-U^1 (not an average), so there V = U^1, a = 1/k_1, and H_1 = 0.
+U^1 (not an average), so there V = U^1, a = 1/k_1, and H_1 = 0.  The
+sources f^{n-1/2} of all steps come from one table of time factors and
+one evaluation of each forcing profile, built before the first step (see
+problems.f_half).
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
@@ -47,7 +50,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .gridops import GridFunction, convection_values, second_diff_values
+from .gridops import GridFunction, convection_values, norm_l2, second_diff_values
 from .mesh import SpatialGrid, TemporalMesh
 from .problems import F_MODES, ManufacturedProblem, f_half
 from .quadrature import compute_weights
@@ -88,7 +91,8 @@ class SchemeConfig:
 
     eps: fixed-point stopping tolerance (discrete L2 of the increment).
     max_steps: fixed-point pass budget per time step.
-    f_mode: how f^{n-1/2} is formed (see problems.f_half).
+    f_mode: the time factor of the sources f^{n-1/2}: midpoint,
+        endpoint_average or interval_average (see problems.f_half).
     """
 
     eps: float = 1e-6
@@ -138,11 +142,6 @@ def tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, rhs)
 
 
-def _l2(values: np.ndarray, h: float) -> float:
-    v = values[1:-1]
-    return float(np.sqrt(h * np.dot(v, v)))
-
-
 def _picard(
     ab: np.ndarray,
     rhs_base: np.ndarray,
@@ -160,7 +159,7 @@ def _picard(
     for passes in range(1, config.max_steps + 1):
         v_new = np.zeros_like(v)
         v_new[1:-1] = tridiagonal_solve(ab, rhs_base - convection_values(v, h)[1:-1])
-        increment = _l2(v_new - v, h)
+        increment = norm_l2(v_new - v, h)
         v = v_new
         if increment < config.eps:
             return v, passes, increment
@@ -168,7 +167,7 @@ def _picard(
 
 
 def _check_stability(bound: float, u_new: np.ndarray, h: float, step: int) -> float:
-    margin = bound - _l2(u_new, h)
+    margin = bound - norm_l2(u_new, h)
     if margin < -_STABILITY_SLACK:
         raise StabilityViolationError(
             f"energy bound violated at step {step}: ||U^n|| exceeds "
@@ -198,10 +197,11 @@ def solve(
     h = grid.h
     u_prev = np.zeros(grid.J + 1)
     u_prev[1:-1] = np.asarray(problem.u0(grid.x[1:-1]), dtype=float)
-    u0_norm = _l2(u_prev, h)
+    u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     d = np.zeros((mesh.N + 1, grid.J + 1))  # row s: d2 of the unknown of step s
     ab = np.empty((3, grid.J - 1))
+    factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
     u = GridFunction(grid=grid, values=u_prev)
     trajectory = [u] if keep_trajectory else None
@@ -215,7 +215,7 @@ def solve(
             raise ValueError(f"step {n}: tridiagonal system lost diagonal dominance (c = {c})")
         ab[0] = ab[2] = -c
         ab[1] = a + 2.0 * c
-        fh = f_half(problem.forcing, mesh, n, config.f_mode, grid).values
+        fh = factors[n - 1] @ profiles
         history = (w[n, 1:n] * mesh.k[: n - 1]) @ d[1:n]  # H_n; zero at n = 1
         scaled = u_prev[1:-1] / kn if n == 1 else a * u_prev[1:-1]
         rhs_base = scaled + history[1:-1] + fh[1:-1]
@@ -223,7 +223,7 @@ def solve(
         v, passes, increment = _picard(ab, rhs_base, u_prev, h, config, step=n)
         u_new = v if n == 1 else 2.0 * v - u_prev
 
-        forcing_budget += 2.0 * kn * _l2(fh, h)
+        forcing_budget += 2.0 * kn * norm_l2(fh, h)
         margin = _check_stability(u0_norm + forcing_budget, u_new, h, step=n)
         d[n] = second_diff_values(v, h)
         u_prev = u_new

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the package's own closed forms and
 vectorized assembly: weights come from nested adaptive quadrature of the
 defining double integral, trajectories from dense nonlinear solves with
-loop-built operators, and the PDE residual from finite-difference
+loop-built operators, the PDE residual from finite-difference
 derivatives of the exact solution plus adaptive quadrature of the memory
-integral.  The undivided difference and shift operators
+integral, and per-step sources from pointwise evaluation of the forcing
+at each step, one branch per f mode.  The undivided difference and shift
+operators
 
     delta_c w_j = w_{j+1} - w_{j-1}           (wide centered gap)
     delta_f w_j = w_{j+1} - w_j               shift_f w_j = w_{j+1}
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import root
 
-from memburgers.problems import f_half
+from memburgers.problems import F_MODES
 from memburgers.quadrature import compute_weights
 
 
@@ -65,6 +67,45 @@ def shift_b(v: np.ndarray) -> np.ndarray:
 def staggered_diff(v: np.ndarray, h: float) -> np.ndarray:
     """Divided forward differences (w_{j+1} - w_j)/h at the J half nodes."""
     return (v[1:] - v[:-1]) / h
+
+
+def forcing_value(forcing, x, t: float) -> np.ndarray:
+    """Pointwise value f(x, t) of a separable forcing; t = 0 requires all exponents >= 0."""
+    t = float(t)
+    if t < 0.0:
+        raise ValueError(f"forcing_value: t must be >= 0, got {t}")
+    if t == 0.0 and any(term.exponent < 0.0 for term in forcing.terms):
+        raise ValueError("forcing_value: singular term, f(x, 0) undefined")
+    x = np.asarray(x, dtype=float)
+    acc = np.zeros_like(x)
+    for term in forcing.terms:
+        acc += term.coefficient * t**term.exponent * term.profile(x)
+    return acc
+
+
+def f_half_reference(forcing, mesh, n: int, mode: str, grid) -> np.ndarray:
+    """Source f^{n-1/2} of step n (1-based) on the grid, evaluated on its own.
+
+    midpoint and endpoint_average evaluate the forcing pointwise (so
+    endpoint_average at n = 1 raises for a singular forcing);
+    interval_average integrates each t**p term in closed form.
+    """
+    if mode not in F_MODES:
+        raise ValueError(f"f_half_reference: unknown f mode {mode!r}")
+    t0 = float(mesh.t[n - 1])
+    t1 = float(mesh.t[n])
+    kn = float(mesh.k[n - 1])
+    x = grid.x
+    if mode == "midpoint":
+        return forcing_value(forcing, x, 0.5 * (t0 + t1))
+    if mode == "endpoint_average":
+        return 0.5 * (forcing_value(forcing, x, t0) + forcing_value(forcing, x, t1))
+    values = np.zeros_like(x)
+    for term in forcing.terms:
+        p1 = term.exponent + 1.0
+        avg = (t1**p1 - t0**p1) / (p1 * kn)
+        values += term.coefficient * avg * term.profile(x)
+    return values
 
 
 def gamma_by_integral(q: float) -> float:
@@ -147,18 +188,18 @@ def pde_residual(problem, x: float, t: float, alpha: float) -> float:
         )
 
     mem = memory_integral_quadrature(uxx, alpha, t)
-    f = float(problem.forcing(np.array([x]), t)[0])
+    f = float(forcing_value(problem.forcing, np.array([x]), t)[0])
     return float(u_t) + u * float(u_x) - mem - f
 
 
 def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
     """Solve every per-step nonlinear system densely and exactly.
 
-    Uses the same weights and per-step sources as the scheme (both are
-    oracle-checked on their own) but assembles operators with explicit
-    loops, evaluates convection as mean3 * centered difference, and solves
-    each step with a dense hybrid-Powell root find instead of the
-    fixed-point iteration.  Returns the levels [U^0, ..., U^N] as arrays.
+    Uses the same weights as the scheme (oracle-checked on their own) and
+    the per-step sources of f_half_reference, but assembles operators with
+    explicit loops, evaluates convection as mean3 * centered difference,
+    and solves each step with a dense hybrid-Powell root find instead of
+    the fixed-point iteration.  Returns the levels [U^0, ..., U^N] as arrays.
     """
     w = compute_weights(mesh, alpha).w
     J, h = grid.J, grid.h
@@ -185,7 +226,7 @@ def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
     u_prev = u0
 
     for n in range(1, mesh.N + 1):
-        f = f_half(problem.forcing, mesh, n, f_mode, grid).values
+        f = f_half_reference(problem.forcing, mesh, n, f_mode, grid)
         if n == 1:
 
             def residual(ui: np.ndarray) -> np.ndarray:

@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from memburgers import scheme
-from memburgers.gridops import (
-    GridFunction,
-    convection_values,
-    norm_l2,
-    second_diff_values,
-)
+from memburgers.gridops import convection_values, norm_l2, second_diff_values
 from memburgers.harness import StudyPlan, expected_temporal_order, run_study
 from memburgers.mesh import build_graded_mesh, build_spatial_grid
 from memburgers.problems import example1, example2
@@ -181,7 +176,6 @@ def test_criterion_6_discrete_identities():
             vv = rng.normal(size=J + 1)
             wv[0] = wv[-1] = vv[0] = vv[-1] = 0.0
             h = g.h
-            w = GridFunction(grid=g, values=wv)
 
             def ip(a, b):
                 return h * float(np.dot(a[1:-1], b[1:-1]))
@@ -189,8 +183,8 @@ def test_criterion_6_discrete_identities():
             def close(lhs, rhs):
                 assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
-            nw = GridFunction(grid=g, values=convection_values(wv, h))
-            assert abs(ip(nw.values, wv)) <= 1e-12 * (1.0 + norm_l2(nw) * norm_l2(w))
+            nw = convection_values(wv, h)
+            assert abs(ip(nw, wv)) <= 1e-12 * (1.0 + norm_l2(nw, h) * norm_l2(wv, h))
             close(
                 ip(second_diff_values(wv, h), vv),
                 -h * float(np.dot(staggered_diff(wv, h), staggered_diff(vv, h))),

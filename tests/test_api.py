@@ -1,5 +1,6 @@
 """The public surface: what the package exports, what the README documents,
-and what the benchmark in bench/run.py relies on."""
+and what the benchmark in bench/run.py relies on; and no module imports a
+name it does not use."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from memburgers import scheme
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench" / "run.py"
+PACKAGE = Path(memburgers.__file__).resolve().parent
 
 
 def _bench_module():
@@ -44,3 +46,19 @@ def test_bench_scheme_callees_exist():
     assert callees, "bench/run.py no longer defines SCHEME_CALLEES"
     for attr in callees:
         assert hasattr(scheme, attr), f"memburgers.scheme has no {attr!r}"
+
+
+def test_package_modules_use_every_import():
+    # __init__ imports names only to re-export them, so it is exempt
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"

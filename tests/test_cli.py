@@ -208,6 +208,17 @@ def test_weights_dump_file(tmp_path, capsys):
     assert "written to" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rule, number", [("2/(alpha+1)", repr(2.0 / 1.5)), ("2/(alpha+2)", "1.0")])
+def test_weights_dump_named_rule_matches_number(capsys, rule, number):
+    # a named rule resolves to the same mesh as its value at alpha = 0.5
+    # (2/(alpha+2) < 1 clamps to the uniform mesh)
+    dumps = []
+    for gamma in (rule, number):
+        assert main(["weights-dump", "--alpha", "0.5", "--gamma", gamma, "--N", "5"]) == 0
+        dumps.append(capsys.readouterr().out)
+    assert dumps[0] == dumps[1]
+
+
 def test_weights_dump_auto_sigma_rejected(capsys):
     code = main(["weights-dump", "--alpha", "0.5", "--gamma", "auto-sigma", "--N", "3"])
     assert code == 2

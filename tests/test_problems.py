@@ -21,7 +21,7 @@ from memburgers.problems import (
 )
 from memburgers.specialfn import gamma
 
-from oracles import pde_residual
+from oracles import f_half_reference, forcing_value, pde_residual
 
 
 def _forcing_example1_direct(alpha, x, t):
@@ -55,7 +55,7 @@ def test_example1_forcing_matches_direct_formula(alpha):
     x = np.linspace(0.0, 1.0, 11)
     for t in (0.1, 0.37, 1.0):
         expected = _forcing_example1_direct(alpha, x, t)
-        assert np.allclose(prob.forcing(x, t), expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(forcing_value(prob.forcing, x, t), expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
@@ -64,7 +64,7 @@ def test_example2_forcing_matches_direct_formula(alpha):
     x = np.linspace(0.0, 1.0, 11)
     for t in (0.1, 0.37, 1.0):
         expected = _forcing_example2_direct(alpha, x, t)
-        assert np.allclose(prob.forcing(x, t), expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(forcing_value(prob.forcing, x, t), expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
@@ -100,7 +100,8 @@ def test_interval_average_matches_adaptive_quadrature():
             1.0, int(rng.integers(2, 9)), float(rng.uniform(1.0, 2.5))
         )
         n = int(rng.integers(1, mesh.N + 1))
-        fh = f_half(prob.forcing, mesh, n, "interval_average", grid)
+        factors, profiles = f_half(prob.forcing, mesh, "interval_average", grid)
+        fh = factors[n - 1] @ profiles
         t0, t1 = float(mesh.t[n - 1]), float(mesh.t[n])
         kn = t1 - t0
         for j in (2, 5):
@@ -119,17 +120,20 @@ def test_interval_average_matches_adaptive_quadrature():
                 )
                 ref += part
             ref /= kn
-            assert abs(fh.values[j] - ref) <= 1e-10 * (1.0 + abs(ref))
+            assert abs(fh[j] - ref) <= 1e-10 * (1.0 + abs(ref))
 
 
 def test_endpoint_average_first_step_rejects_singular_forcing():
     prob = example2(0.5)  # forcing has a t^(alpha-1) term, so f(x, 0) blows up
     mesh = build_graded_mesh(1.0, 4, 1.0)
     grid = build_spatial_grid(1.0, 4)
-    with pytest.raises(ValueError):
-        f_half(prob.forcing, mesh, 1, "endpoint_average", grid)
-    # later steps never touch t = 0
-    f_half(prob.forcing, mesh, 2, "endpoint_average", grid)
+    # the table covers step 1, so building it is refused
+    with pytest.raises(ValueError, match="interval_average"):
+        f_half(prob.forcing, mesh, "endpoint_average", grid)
+    # the other modes never touch t = 0
+    for mode in ("midpoint", "interval_average"):
+        factors, _ = f_half(prob.forcing, mesh, mode, grid)
+        assert np.all(np.isfinite(factors))
 
 
 def test_constant_in_time_term_same_across_modes():
@@ -137,7 +141,11 @@ def test_constant_in_time_term_same_across_modes():
     forcing = SeparableForcing(terms=(ForcingTerm(sin_pi, 0.0, 2.5),))
     mesh = build_graded_mesh(1.0, 3, 1.4)
     grid = build_spatial_grid(1.0, 6)
-    results = [f_half(forcing, mesh, 2, mode, grid).values for mode in F_MODES]
+    results = []
+    for mode in F_MODES:
+        factors, profiles = f_half(forcing, mesh, mode, grid)
+        results.append(factors @ profiles)
+    assert results[0].shape == (mesh.N, grid.J + 1)
     for other in results[1:]:
         assert np.allclose(results[0], other, rtol=1e-14, atol=1e-15)
 
@@ -147,11 +155,27 @@ def test_f_half_validation():
     mesh = build_graded_mesh(1.0, 3, 1.0)
     grid = build_spatial_grid(1.0, 4)
     with pytest.raises(ValueError):
-        f_half(prob.forcing, mesh, 0, "midpoint", grid)
-    with pytest.raises(ValueError):
-        f_half(prob.forcing, mesh, 4, "midpoint", grid)
-    with pytest.raises(ValueError):
-        f_half(prob.forcing, mesh, 1, "simpson", grid)
+        f_half(prob.forcing, mesh, "simpson", grid)
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [("example1", mode) for mode in F_MODES]
+    + [("example2", "midpoint"), ("example2", "interval_average")],
+)
+@pytest.mark.parametrize("grading", [1.0, 1.6, 3.0])
+def test_f_half_table_matches_per_step_reference(name, mode, grading):
+    # every row of the table reproduces the per-step, pointwise evaluation
+    prob = problem_by_name(name, 0.4)
+    mesh = build_graded_mesh(1.0, 32, grading)
+    grid = build_spatial_grid(1.0, 24)
+    factors, profiles = f_half(prob.forcing, mesh, mode, grid)
+    assert factors.shape == (mesh.N, len(prob.forcing.terms))
+    assert profiles.shape == (len(prob.forcing.terms), grid.J + 1)
+    for n in range(1, mesh.N + 1):
+        ref = f_half_reference(prob.forcing, mesh, n, mode, grid)
+        row = factors[n - 1] @ profiles
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_sigma_metadata():
@@ -184,8 +208,8 @@ def test_forcing_at_time_zero():
     # t = 0 is well defined when all exponents are >= 0 (0^0 taken as 1)
     prob = example1(0.5)
     x = np.linspace(0.0, 1.0, 9)
-    vals = prob.forcing(x, 0.0)
+    vals = forcing_value(prob.forcing, x, 0.0)
     expected = pi * np.sin(pi * x) * np.cos(pi * x)  # only the p = 0 term survives
     assert np.allclose(vals, expected, atol=1e-12)
     with pytest.raises(ValueError):
-        example2(0.5).forcing(x, 0.0)
+        forcing_value(example2(0.5).forcing, x, 0.0)

@@ -2,6 +2,8 @@
 energy margins, and agreement with an independently assembled
 dense-solver oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from memburgers.problems import (
     SeparableForcing,
     example1,
     example2,
-    f_half,
 )
 from memburgers.quadrature import PIWeights, compute_weights
 from memburgers.scheme import (
@@ -23,7 +24,7 @@ from memburgers.scheme import (
     tridiagonal_solve,
 )
 
-from oracles import dense_trajectory
+from oracles import dense_trajectory, f_half_reference
 
 
 def _zero_problem(alpha=0.5):
@@ -156,9 +157,33 @@ def test_energy_bound_recomputed_from_trajectory():
 
     budget = l2(result.trajectory[0].values)
     for n in range(1, mesh.N + 1):
-        fh = f_half(problem.forcing, mesh, n, config.f_mode, grid)
-        budget += 2.0 * float(mesh.k[n - 1]) * l2(fh.values)
+        fh = f_half_reference(problem.forcing, mesh, n, config.f_mode, grid)
+        budget += 2.0 * float(mesh.k[n - 1]) * l2(fh)
         assert l2(result.trajectory[n].values) <= budget + 1e-9
+
+
+def test_solve_evaluates_each_profile_once():
+    # the sources of all steps come from one table: each spatial profile
+    # is evaluated on the grid once per solve, not once per step
+    problem = example1(0.5)
+    calls = []
+
+    def counted(i, profile):
+        def evaluate(x):
+            calls.append(i)
+            return profile(x)
+
+        return evaluate
+
+    terms = tuple(
+        dataclasses.replace(t, profile=counted(i, t.profile))
+        for i, t in enumerate(problem.forcing.terms)
+    )
+    problem = dataclasses.replace(problem, forcing=SeparableForcing(terms))
+    mesh = build_graded_mesh(1.0, 16, 1.5)
+    grid = build_spatial_grid(1.0, 16)
+    solve(problem, mesh, grid, 0.5, SchemeConfig(f_mode="midpoint"))
+    assert sorted(calls) == list(range(len(terms)))
 
 
 def test_stability_check_raises_on_violation():
