@@ -58,8 +58,11 @@ class TemporalMesh:
     k: np.ndarray  # shape (N,)
 
     def __post_init__(self) -> None:
-        assert self.t.shape == (self.N + 1,)
-        assert self.k.shape == (self.N,)
+        if self.t.shape != (self.N + 1,) or self.k.shape != (self.N,):
+            raise ValueError(
+                f"TemporalMesh: N={self.N} needs t of shape ({self.N + 1},) and k of "
+                f"shape ({self.N},), got {self.t.shape} and {self.k.shape}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,12 +24,14 @@ problems.f_half).
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
-strictly diagonally dominant tridiagonal system
+strictly diagonally dominant (hence positive definite) tridiagonal system
 
     diag  a + 2c,  off-diagonal  -c,      c = w_nn k_n / h^2,
 
 warm-started from U^{n-1} and stopped when the discrete L2 norm of the
-iterate increment drops below eps.
+iterate increment drops below eps.  The matrix is the same for every pass
+of a step, so it is factored once per step (LAPACK dpttrf, L D L^T) and
+each pass is one back substitution (dpttrs).
 
 Every step checks the energy bound
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .gridops import GridFunction, convection_values, norm_l2, second_diff_values
 from .mesh import SpatialGrid, TemporalMesh
@@ -61,6 +63,7 @@ __all__ = [
     "SolveResult",
     "NonconvergenceError",
     "StabilityViolationError",
+    "tridiagonal_factor",
     "tridiagonal_solve",
     "solve",
 ]
@@ -100,8 +103,8 @@ class SchemeConfig:
     f_mode: str = "endpoint_average"
 
     def __post_init__(self) -> None:
-        if not self.eps > 0.0:
-            raise ValueError(f"SchemeConfig: eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"SchemeConfig: eps must be positive and finite, got {self.eps}")
         if self.max_steps < 1:
             raise ValueError(f"SchemeConfig: max_steps must be >= 1, got {self.max_steps}")
         if self.f_mode not in F_MODES:
@@ -137,13 +140,41 @@ class SolveResult:
         return max(r.iterations for r in self.reports)
 
 
-def tridiagonal_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system held in LAPACK band storage ab, shape (3, m)."""
-    return solve_banded((1, 1), ab, rhs)
+def tridiagonal_factor(diag, off) -> Tuple[np.ndarray, np.ndarray]:
+    """L D L^T factor of the symmetric tridiagonal matrix with diagonal diag
+    (length m >= 1) and off-diagonal off (length m - 1), by LAPACK dpttrf.
+
+    Raises ValueError unless the matrix is positive definite.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    if diag.ndim != 1 or off.shape != (diag.size - 1,):  # no shape is (-1,): m = 0 fails
+        raise ValueError(
+            f"tridiagonal_factor: need m >= 1 diagonal and m - 1 off-diagonal "
+            f"entries, got shapes {diag.shape} and {off.shape}"
+        )
+    # the f2py wrapper rejects an empty off-diagonal, which m = 1 has
+    d, e, info = dpttrf(diag, off if off.size else np.zeros(1))
+    if info != 0:
+        raise ValueError(f"tridiagonal_factor: matrix is not positive definite (pivot {info})")
+    return d, e
+
+
+def tridiagonal_solve(factor: Tuple[np.ndarray, np.ndarray], rhs) -> np.ndarray:
+    """Solve with a factor from tridiagonal_factor: one LAPACK dpttrs call."""
+    d, e = factor
+    rhs = np.asarray(rhs, dtype=float)
+    # dpttrs solves only the first m rows of a longer rhs and reports nothing
+    if rhs.shape != d.shape:
+        raise ValueError(f"tridiagonal_solve: rhs shape {rhs.shape}, factor shape {d.shape}")
+    x, info = dpttrs(d, e, rhs)
+    if info != 0:
+        raise ValueError(f"tridiagonal_solve: dpttrs rejected argument {-info}")
+    return x
 
 
 def _picard(
-    ab: np.ndarray,
+    factor: Tuple[np.ndarray, np.ndarray],
     rhs_base: np.ndarray,
     v: np.ndarray,
     h: float,
@@ -152,13 +183,14 @@ def _picard(
 ) -> Tuple[np.ndarray, int, float]:
     """Lagged-convection fixed-point loop for one step, started from v.
 
-    Each pass solves ab V = rhs_base - N(V_prev) at the interior nodes.
+    Each pass solves A V = rhs_base - N(V_prev) at the interior nodes, A
+    given by its factor.
     Returns (V, passes, final increment norm).
     """
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
         v_new = np.zeros_like(v)
-        v_new[1:-1] = tridiagonal_solve(ab, rhs_base - convection_values(v, h)[1:-1])
+        v_new[1:-1] = tridiagonal_solve(factor, rhs_base - convection_values(v, h)[1:-1])
         increment = norm_l2(v_new - v, h)
         v = v_new
         if increment < config.eps:
@@ -200,7 +232,6 @@ def solve(
     u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     d = np.zeros((mesh.N + 1, grid.J + 1))  # row s: d2 of the unknown of step s
-    ab = np.empty((3, grid.J - 1))
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
     u = GridFunction(grid=grid, values=u_prev)
@@ -210,17 +241,21 @@ def solve(
         kn = float(mesh.k[n - 1])
         a = (1.0 if n == 1 else 2.0) / kn
         c = w[n, n] * kn / (h * h)
-        if not (a > 0.0 and c > 0.0):
-            # a > 0 is exactly the strict diagonal dominance margin of the matrix
+        if not (a > 0.0 and c > 0.0 and a + 2.0 * c < math.inf):
+            # a > 0 is exactly the strict diagonal dominance margin of the
+            # matrix; dpttrs does not check finiteness, so an infinite
+            # diagonal (h^2 underflowing to 0) is refused here
             raise ValueError(f"step {n}: tridiagonal system lost diagonal dominance (c = {c})")
-        ab[0] = ab[2] = -c
-        ab[1] = a + 2.0 * c
         fh = factors[n - 1] @ profiles
         history = (w[n, 1:n] * mesh.k[: n - 1]) @ d[1:n]  # H_n; zero at n = 1
         scaled = u_prev[1:-1] / kn if n == 1 else a * u_prev[1:-1]
         rhs_base = scaled + history[1:-1] + fh[1:-1]
 
-        v, passes, increment = _picard(ab, rhs_base, u_prev, h, config, step=n)
+        try:
+            factor = tridiagonal_factor(np.full(grid.J - 1, a + 2.0 * c), np.full(grid.J - 2, -c))
+            v, passes, increment = _picard(factor, rhs_base, u_prev, h, config, step=n)
+        except ValueError as exc:
+            raise ValueError(f"step {n}: {exc}") from exc
         u_new = v if n == 1 else 2.0 * v - u_prev
 
         forcing_budget += 2.0 * kn * norm_l2(fh, h)

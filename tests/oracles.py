@@ -192,6 +192,13 @@ def pde_residual(problem, x: float, t: float, alpha: float) -> float:
     return float(u_t) + u * float(u_x) - mem - f
 
 
+def _root_found(sol) -> bool:
+    """hybr's own test bounds the step, not the residual: with one unknown it
+    can stop "not making good progress" at a root whose residual is already
+    at rounding level (4.4e-16 seen).  Such a root counts as found."""
+    return bool(sol.success) or float(np.max(np.abs(sol.fun))) <= 1e-12
+
+
 def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
     """Solve every per-step nonlinear system densely and exactly.
 
@@ -236,7 +243,7 @@ def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
                 return r[1:-1]
 
             sol = root(residual, u0[1:-1], method="hybr", tol=1e-13)
-            assert sol.success, f"oracle root find failed at step 1: {sol.message}"
+            assert _root_found(sol), f"oracle root find failed at step 1: {sol.message}"
             u1 = np.zeros(J + 1)
             u1[1:-1] = sol.x
             d_store[1] = d2(u1)
@@ -260,7 +267,7 @@ def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
                 return r[1:-1]
 
             sol = root(residual, u_prev[1:-1], method="hybr", tol=1e-13)
-            assert sol.success, f"oracle root find failed at step {n}: {sol.message}"
+            assert _root_found(sol), f"oracle root find failed at step {n}: {sol.message}"
             v = np.zeros(J + 1)
             v[1:-1] = sol.x
             d_store[n] = d2(v)

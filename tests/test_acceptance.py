@@ -274,7 +274,7 @@ def test_criterion_8_energy_stability():
 
 
 def test_criterion_9_dense_oracle_equivalence():
-    # the banded fixed-point solver reproduces an independently assembled
+    # the fixed-point solver reproduces an independently assembled
     # dense Newton-Krylov trajectory to 1e-7 in the max norm, every level
     def body():
         cases = [

@@ -62,3 +62,11 @@ def test_package_modules_use_every_import():
                 imported |= {a.asname or a.name for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_package_modules_have_no_assert():
+    # python -O strips assert statements, so checks must raise instead
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"

@@ -155,6 +155,20 @@ def test_bad_config_values_exit_2(tmp_path, capsys):
     assert "f-mode" in capsys.readouterr().err
 
 
+def test_underflowing_grid_spacing_exits_2(capsys):
+    # h^2 underflows to 0, so c = w_nn k_n / h^2 is infinite; the step must
+    # be refused by name rather than iterate on a non-finite system
+    code = main(
+        ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1",
+         "--N", "4", "--J", "4", "--L", "1e-300"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error_l2=" not in captured.out
+    assert "step 1" in captured.err
+    assert "lost diagonal dominance" in captured.err
+
+
 def test_malformed_config_line_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("example 1\n")

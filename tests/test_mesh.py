@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memburgers.mesh import (
+    TemporalMesh,
     build_graded_mesh,
     build_mesh_from_levels,
     build_spatial_grid,
@@ -99,6 +100,15 @@ def test_levels_validation():
         build_mesh_from_levels([0.0, 0.6, 0.5, 1.0])  # not increasing
     with pytest.raises(ValueError):
         build_mesh_from_levels([0.0])  # too short
+
+
+def test_temporal_mesh_shape_validation():
+    # a ValueError, not an assert, so python -O still refuses it
+    t = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="TemporalMesh"):
+        TemporalMesh(T=1.0, N=4, gamma=1.0, k_base=0.25, t=t, k=np.array([0.5]))
+    with pytest.raises(ValueError, match="TemporalMesh"):
+        TemporalMesh(T=1.0, N=2, gamma=1.0, k_base=0.5, t=t, k=np.array([0.5]))
 
 
 def test_spatial_grid_nodes():

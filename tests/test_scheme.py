@@ -21,6 +21,7 @@ from memburgers.scheme import (
     SchemeConfig,
     StabilityViolationError,
     solve,
+    tridiagonal_factor,
     tridiagonal_solve,
 )
 
@@ -38,45 +39,51 @@ def _zero_problem(alpha=0.5):
     )
 
 
-def _bands(lower, diag, upper):
-    """LAPACK band storage of a tridiagonal matrix (unused corners zero)."""
-    ab = np.zeros((3, len(diag)))
-    ab[0, 1:] = upper
-    ab[1] = diag
-    ab[2, :-1] = lower
-    return ab
-
-
 def test_tridiagonal_hand_solution():
-    x = tridiagonal_solve(_bands([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0]), [1.0, 0.0, 1.0])
+    factor = tridiagonal_factor([2.0, 2.0, 2.0], [-1.0, -1.0])
+    x = tridiagonal_solve(factor, [1.0, 0.0, 1.0])
     assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 40])
 def test_tridiagonal_matches_dense_solve(m):
     rng = np.random.default_rng(m)
-    lower = rng.normal(size=m - 1)
-    upper = rng.normal(size=m - 1)
-    diag = 4.0 + rng.random(size=m)  # dominant, hence well conditioned
+    off = rng.normal(size=m - 1)
+    diag = 4.0 + rng.random(size=m)  # dominant and symmetric, hence positive definite
     rhs = rng.normal(size=m)
     full = np.diag(diag)
     if m > 1:
-        full += np.diag(lower, -1) + np.diag(upper, 1)
+        full += np.diag(off, -1) + np.diag(off, 1)
     expected = np.linalg.solve(full, rhs)
-    got = tridiagonal_solve(_bands(lower, diag, upper), rhs)
+    got = tridiagonal_solve(tridiagonal_factor(diag, off), rhs)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-13)
 
 
 def test_tridiagonal_band_length_validation():
     with pytest.raises(ValueError):
-        tridiagonal_solve(np.ones((2, 3)), [1.0, 1.0, 1.0])  # one band missing
+        tridiagonal_factor([2.0, 2.0, 2.0], [-1.0])  # off-diagonal too short
     with pytest.raises(ValueError):
-        tridiagonal_solve(_bands([1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.0]), [1.0, 1.0])
+        tridiagonal_factor([2.0, 2.0, 2.0], [-1.0, -1.0, -1.0])
+    with pytest.raises(ValueError):
+        tridiagonal_factor([], [])
+    factor = tridiagonal_factor([2.0, 2.0, 2.0], [-1.0, -1.0])
+    with pytest.raises(ValueError):
+        tridiagonal_solve(factor, [1.0, 1.0])
+    with pytest.raises(ValueError):
+        # LAPACK would solve the first three rows and return the fourth as is
+        tridiagonal_solve(factor, [1.0, 1.0, 1.0, 1.0])
+
+
+def test_tridiagonal_indefinite_matrix_raises():
+    # eigenvalues 1 - sqrt(2) < 0 < 1, 1 + sqrt(2): symmetric but indefinite
+    with pytest.raises(ValueError, match="not positive definite"):
+        tridiagonal_factor([1.0, 1.0, 1.0], [-1.0, -1.0])
 
 
 def test_scheme_config_validation():
-    with pytest.raises(ValueError):
-        SchemeConfig(eps=0.0)
+    for eps in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SchemeConfig(eps=eps)
     with pytest.raises(ValueError):
         SchemeConfig(max_steps=0)
     with pytest.raises(ValueError):
@@ -109,12 +116,13 @@ def test_full_solve_matches_dense_oracle():
     alpha = 0.75
     problem = example2(alpha)
     mesh = build_graded_mesh(1.0, 4, 1.6)
-    grid = build_spatial_grid(1.0, 8)
     config = SchemeConfig(eps=1e-12, f_mode="interval_average")
-    result = solve(problem, mesh, grid, alpha, config, keep_trajectory=True)
-    reference = dense_trajectory(problem, mesh, grid, alpha, config.f_mode)
-    for level, ref in zip(result.trajectory, reference):
-        assert np.max(np.abs(level.values - ref)) <= 1e-7
+    for J in (8, 2):  # J = 2: a single interior node, a 1 x 1 system
+        grid = build_spatial_grid(1.0, J)
+        result = solve(problem, mesh, grid, alpha, config, keep_trajectory=True)
+        reference = dense_trajectory(problem, mesh, grid, alpha, config.f_mode)
+        for level, ref in zip(result.trajectory, reference):
+            assert np.max(np.abs(level.values - ref)) <= 1e-7
 
 
 def test_nonconvergence_reports_failing_step():
@@ -184,6 +192,28 @@ def test_solve_evaluates_each_profile_once():
     grid = build_spatial_grid(1.0, 16)
     solve(problem, mesh, grid, 0.5, SchemeConfig(f_mode="midpoint"))
     assert sorted(calls) == list(range(len(terms)))
+
+
+def test_solve_factors_once_per_step_and_solves_once_per_pass(monkeypatch):
+    factors, solves = [], []
+
+    def counted_factor(diag, off):
+        factors.append(len(diag))
+        return tridiagonal_factor(diag, off)
+
+    def counted_solve(factor, rhs):
+        solves.append(len(rhs))
+        return tridiagonal_solve(factor, rhs)
+
+    monkeypatch.setattr(scheme, "tridiagonal_factor", counted_factor)
+    monkeypatch.setattr(scheme, "tridiagonal_solve", counted_solve)
+    mesh = build_graded_mesh(1.0, 12, 1.5)
+    grid = build_spatial_grid(1.0, 16)
+    result = solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
+    assert factors == [grid.J - 1] * mesh.N
+    assert len(solves) == sum(r.iterations for r in result.reports)
+    assert len(solves) > mesh.N  # some step took more than one pass
+    assert set(solves) == {grid.J - 1}
 
 
 def test_stability_check_raises_on_violation():
