@@ -41,7 +41,7 @@ from .problems import (
     f_half,
     problem_by_name,
 )
-from .quadrature import PIWeights, compute_weights
+from .quadrature import compute_weights
 from .scheme import (
     NonconvergenceError,
     SchemeConfig,
@@ -50,13 +50,11 @@ from .scheme import (
     StepReport,
     solve,
 )
-from .specialfn import gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "gamma",
     "TemporalMesh",
     "SpatialGrid",
     "MeshHypothesesReport",
@@ -64,7 +62,6 @@ __all__ = [
     "build_mesh_from_levels",
     "build_spatial_grid",
     "check_mesh_hypotheses",
-    "PIWeights",
     "compute_weights",
     "GridFunction",
     "norm_l2",

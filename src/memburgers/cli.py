@@ -27,6 +27,7 @@ from .harness import (
     StudyPlan,
     dump_trajectory_csv,
     dump_weights_csv,
+    emit_csv,
     error_at_final_time,
     gamma_from_rule,
     resolve_gamma,
@@ -173,10 +174,7 @@ def _resolve_problem_options(opts: _Options, *, multi_alpha: bool):
     if example not in (1, 2):
         raise ValueError(f"--example must be 1 or 2, got {example}")
     if multi_alpha:
-        alphas = opts.get("alpha", _cast_alpha_list, required=True)
-        if isinstance(alphas, float):
-            alphas = [alphas]
-        return f"example{example}", [float(a) for a in alphas]
+        return f"example{example}", opts.get("alpha", _cast_alpha_list, required=True)
     alpha = opts.get("alpha", float, required=True)
     return f"example{example}", float(alpha)
 
@@ -230,13 +228,14 @@ def _cmd_study(opts: _Options, axis: str) -> int:
         max_steps=opts.get("max-steps", int, default=300),
         t_final=opts.get("T", float, default=1.0),
         length=opts.get("L", float, default=1.0),
-        out=opts.get("out", str),
     )
+    out = opts.get("out", str)
     rows = run_study(plan)
-    if plan.out is None:
+    if out is None:
         _print_rows(rows)
     else:
-        print(f"{len(rows)} rows written to {plan.out}")
+        emit_csv(rows, out)
+        print(f"{len(rows)} rows written to {out}")
     return 0
 
 

@@ -48,11 +48,6 @@ class GridFunction:
             )
         object.__setattr__(self, "values", v)
 
-    @property
-    def interior(self) -> np.ndarray:
-        """View of the interior values (v_1, ..., v_{J-1})."""
-        return self.values[1:-1]
-
 
 def norm_l2(values: np.ndarray, h: float) -> float:
     v = values[1:-1]

@@ -26,13 +26,14 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple, Union
+
+import numpy as np
 
 from .gridops import GridFunction, norm_l2
 from .mesh import build_graded_mesh, build_spatial_grid
 from .problems import F_MODES, ManufacturedProblem, problem_by_name
-from .quadrature import PIWeights
 from .scheme import SchemeConfig, solve
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
     "dump_trajectory_csv",
 ]
 
-CSV_HEADER = "alpha,gamma,N,J,f_mode,error_l2,rate,wall_time_seconds,max_fp_iters"
-
 GAMMA_RULES = ("2/(alpha+1)", "2/(alpha+2)", "auto-sigma")
 
 
@@ -68,6 +67,9 @@ class ConvergenceRow:
     rate: Optional[float]
     wall_time_seconds: float
     max_fp_iters: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ConvergenceRow))
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,6 @@ class StudyPlan:
     max_steps: int = 300
     t_final: float = 1.0
     length: float = 1.0
-    out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.axis not in ("time", "space"):
@@ -189,7 +190,6 @@ def run_study(plan: StudyPlan) -> List[ConvergenceRow]:
 
     Solver nonconvergence propagates (the exception names the step); rows
     computed so far are lost, matching the all-or-nothing CSV contract.
-    When plan.out is set the rows are also emitted as CSV.
     """
     rows: List[ConvergenceRow] = []
     for alpha in plan.alphas:
@@ -221,8 +221,6 @@ def run_study(plan: StudyPlan) -> List[ConvergenceRow]:
                 )
             )
             prev_error = err
-    if plan.out is not None:
-        emit_csv(rows, plan.out)
     return rows
 
 
@@ -234,34 +232,21 @@ def _fmt(value) -> str:
 
 
 def emit_csv(rows: Sequence[ConvergenceRow], path: str) -> None:
-    """Write rows under the fixed header; rate is blank where absent."""
+    """Write rows under the header, one column per field; rate is blank where absent."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
         for row in rows:
-            writer.writerow(
-                [
-                    _fmt(row.alpha),
-                    _fmt(row.gamma),
-                    row.N,
-                    row.J,
-                    row.f_mode,
-                    _fmt(row.error_l2),
-                    "" if row.rate is None else _fmt(row.rate),
-                    _fmt(row.wall_time_seconds),
-                    row.max_fp_iters,
-                ]
-            )
+            writer.writerow("" if value is None else _fmt(value) for value in astuple(row))
 
 
-def dump_weights_csv(weights: PIWeights, stream: TextIO) -> None:
-    """Write the lower-triangular weight table as n,s,weight rows to an open text stream."""
+def dump_weights_csv(w: np.ndarray, stream: TextIO) -> None:
+    """Write a compute_weights table's lower triangle as n,s,weight rows to an open text stream."""
     writer = csv.writer(stream)
     writer.writerow(["n", "s", "weight"])
-    for n in range(1, weights.mesh.N + 1):
-        row = weights.w[n]
-        for s in range(1, n + 1):
-            writer.writerow([n, s, _fmt(float(row[s]))])
+    writer.writerows(
+        [n, s, _fmt(float(w[n, s]))] for n in range(1, w.shape[0]) for s in range(1, n + 1)
+    )
 
 
 def dump_trajectory_csv(result, path: str) -> None:
@@ -273,6 +258,4 @@ def dump_trajectory_csv(result, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "t"] + [f"u_{j}" for j in range(J + 1)])
         for n, u in enumerate(result.trajectory):
-            writer.writerow(
-                [n, _fmt(float(result.mesh.t[n]))] + [_fmt(float(v)) for v in u.values]
-            )
+            writer.writerow([n, _fmt(float(result.mesh.t[n]))] + [_fmt(float(v)) for v in u])

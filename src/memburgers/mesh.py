@@ -23,6 +23,7 @@ genuinely fail, and it is checked for every consecutive step pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,16 +150,19 @@ def build_mesh_from_levels(levels, gamma: float = 1.0) -> TemporalMesh:
 
 
 def build_spatial_grid(L: float, J: int) -> SpatialGrid:
-    """Uniform grid on [0, L] with J intervals (J >= 2)."""
+    """Uniform grid on [0, L] with J intervals (J >= 2) and a finite 1/h^2."""
     L = float(L)
     J = int(J)
     if not L > 0.0:
         raise ValueError(f"build_spatial_grid: L must be positive, got {L}")
     if J < 2:
         raise ValueError(f"build_spatial_grid: J must be >= 2, got {J}")
+    h = L / J
+    if not (h * h > 0.0 and math.isfinite(1.0 / (h * h))):  # the scheme divides by h^2
+        raise ValueError(f"build_spatial_grid: 1/h^2 is not finite for h = L/J = {L!r}/{J} = {h!r}")
     # linspace pins both endpoints exactly and is uniform to roundoff
     x = np.linspace(0.0, L, J + 1)
-    return SpatialGrid(L=L, J=J, h=L / J, x=x)
+    return SpatialGrid(L=L, J=J, h=h, x=x)
 
 
 def check_mesh_hypotheses(mesh: TemporalMesh) -> MeshHypothesesReport:

@@ -41,7 +41,6 @@ from typing import Callable, Mapping, Tuple
 import numpy as np
 
 from .mesh import SpatialGrid, TemporalMesh
-from .specialfn import gamma
 
 __all__ = [
     "F_MODES",
@@ -141,9 +140,9 @@ def example1(alpha: float) -> ManufacturedProblem:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"example1: alpha must be in (0, 1), got {alpha}")
-    g1 = gamma(alpha + 1.0)
-    g2 = gamma(alpha + 2.0)
-    g22 = gamma(2.0 * alpha + 2.0)
+    g1 = math.gamma(alpha + 1.0)
+    g2 = math.gamma(alpha + 2.0)
+    g22 = math.gamma(2.0 * alpha + 2.0)
 
     terms = (
         ForcingTerm(sin_pi, alpha, _PI**2 / g1),
@@ -183,9 +182,9 @@ def example2(alpha: float) -> ManufacturedProblem:
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"example2: alpha must be in (0, 1), got {alpha}")
-    ga = gamma(alpha)
-    g1 = gamma(alpha + 1.0)
-    g21 = gamma(2.0 * alpha + 1.0)
+    ga = math.gamma(alpha)
+    g1 = math.gamma(alpha + 1.0)
+    g21 = math.gamma(2.0 * alpha + 1.0)
 
     terms = (
         ForcingTerm(sin_pi, 2.0 * alpha, _PI**2 / g21),

@@ -34,33 +34,21 @@ raises ValueError rather than return the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .mesh import TemporalMesh
-from .specialfn import gamma
 
-__all__ = ["PIWeights", "compute_weights"]
-
-
-@dataclass(frozen=True, eq=False)
-class PIWeights:
-    """Lower-triangular weight table for one (mesh, alpha) pair.
-
-    w[n, s] is valid for 1 <= s <= n <= N (row/col 0 unused, kept so the
-    indices match the math); entries outside the triangle are zero.
-    Immutable; share freely across threads.
-    """
-
-    mesh: TemporalMesh
-    alpha: float
-    w: np.ndarray  # shape (N+1, N+1)
+__all__ = ["compute_weights"]
 
 
-def compute_weights(mesh: TemporalMesh, alpha: float) -> PIWeights:
+def compute_weights(mesh: TemporalMesh, alpha: float) -> np.ndarray:
     """Evaluate the product-integration weights in closed form.
 
+    Returns the (N+1, N+1) table w with w[n, s] the weight for
+    1 <= s <= n <= N; row and column 0 are unused, kept so the indices
+    match the math, and every entry outside that triangle is zero.
     Requires 0 < alpha < 1.  Cost is O(N^2) with one vectorized sweep per
     row; no quadrature is involved.
     """
@@ -70,7 +58,7 @@ def compute_weights(mesh: TemporalMesh, alpha: float) -> PIWeights:
 
     t, k, N = mesh.t, mesh.k, mesh.N
     a = alpha + 1.0
-    g2 = gamma(alpha + 2.0)
+    g2 = math.gamma(alpha + 2.0)
 
     w = np.zeros((N + 1, N + 1))
     for n in range(1, N + 1):
@@ -85,4 +73,4 @@ def compute_weights(mesh: TemporalMesh, alpha: float) -> PIWeights:
                 f"compute_weights: nonpositive weight in row {n} (smallest "
                 f"{w[n, 1 : n + 1].min():.3e}); the closed form cancels on this mesh"
             )
-    return PIWeights(mesh=mesh, alpha=alpha, w=w)
+    return w

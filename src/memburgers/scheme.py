@@ -127,13 +127,14 @@ class StepReport:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Final level, per-step reports, and (optionally) the full trajectory."""
+    """Final level, per-step reports, and (optionally) the full trajectory:
+    the (N+1, J+1) array whose row n holds U^n, its last row final.values."""
 
     mesh: TemporalMesh
     grid: SpatialGrid
     final: GridFunction
     reports: Tuple[StepReport, ...]
-    trajectory: Optional[Tuple[GridFunction, ...]] = None
+    trajectory: Optional[np.ndarray] = None
 
     @property
     def max_fp_iterations(self) -> int:
@@ -225,7 +226,7 @@ def solve(
         raise ValueError(
             f"solve: alpha {alpha} does not match problem alpha {problem.alpha}"
         )
-    w = compute_weights(mesh, alpha).w
+    w = compute_weights(mesh, alpha)
     h = grid.h
     u_prev = np.zeros(grid.J + 1)
     u_prev[1:-1] = np.asarray(problem.u0(grid.x[1:-1]), dtype=float)
@@ -234,8 +235,10 @@ def solve(
     d = np.zeros((mesh.N + 1, grid.J + 1))  # row s: d2 of the unknown of step s
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
-    u = GridFunction(grid=grid, values=u_prev)
-    trajectory = [u] if keep_trajectory else None
+    trajectory = None
+    if keep_trajectory:
+        trajectory = np.empty((mesh.N + 1, grid.J + 1))
+        trajectory[0] = u_prev
     reports = []
     for n in range(1, mesh.N + 1):
         kn = float(mesh.k[n - 1])
@@ -262,15 +265,14 @@ def solve(
         margin = _check_stability(u0_norm + forcing_budget, u_new, h, step=n)
         d[n] = second_diff_values(v, h)
         u_prev = u_new
-        u = GridFunction(grid=grid, values=u_new)
         reports.append(StepReport(n, passes, increment, margin))
         if trajectory is not None:
-            trajectory.append(u)
+            trajectory[n] = u_new
 
     return SolveResult(
         mesh=mesh,
         grid=grid,
-        final=u,
+        final=GridFunction(grid=grid, values=u_prev),
         reports=tuple(reports),
-        trajectory=tuple(trajectory) if trajectory is not None else None,
+        trajectory=trajectory,
     )

@@ -208,7 +208,7 @@ def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
     and solves each step with a dense hybrid-Powell root find instead of
     the fixed-point iteration.  Returns the levels [U^0, ..., U^N] as arrays.
     """
-    w = compute_weights(mesh, alpha).w
+    w = compute_weights(mesh, alpha)
     J, h = grid.J, grid.h
     k = mesh.k
 

@@ -218,12 +218,12 @@ def test_criterion_7_weight_properties():
             )
             w = compute_weights(mesh, float(rng.uniform(0.02, 0.98)))
             for level in range(1, n + 1):
-                assert np.all(w.w[level, 1 : level + 1] > 0.0)
+                assert np.all(w[level, 1 : level + 1] > 0.0)
 
         for _ in range(1000):
             n = int(rng.integers(1, 21))
             mesh = build_graded_mesh(1.0, n, float(rng.uniform(1.0, 3.0)))
-            w = compute_weights(mesh, float(rng.uniform(0.02, 0.98))).w
+            w = compute_weights(mesh, float(rng.uniform(0.02, 0.98)))
             levels = rng.normal(size=n + 1)
             c = np.empty(n + 1)
             c[1] = levels[1]
@@ -241,7 +241,7 @@ def test_criterion_7_weight_properties():
             for n in range(1, n_steps + 1):
                 for s in range(1, n + 1):
                     ref = weight_by_quadrature(mesh.t, n, s, alpha)
-                    assert abs(w.w[n, s] - ref) <= 1e-9 * abs(ref)
+                    assert abs(w[n, s] - ref) <= 1e-9 * abs(ref)
 
         assert time.perf_counter() - start < 60.0
 
@@ -292,7 +292,7 @@ def test_criterion_9_dense_oracle_equivalence():
             )
             reference = dense_trajectory(problem, mesh, grid, problem.alpha, f_mode)
             for level, ref in zip(result.trajectory, reference):
-                assert np.max(np.abs(level.values - ref)) <= 1e-7
+                assert np.max(np.abs(level - ref)) <= 1e-7
 
     _verdict(9, "independent dense-solver equivalence", body)
 

@@ -156,8 +156,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys):
 
 
 def test_underflowing_grid_spacing_exits_2(capsys):
-    # h^2 underflows to 0, so c = w_nn k_n / h^2 is infinite; the step must
-    # be refused by name rather than iterate on a non-finite system
+    # h^2 underflows to 0, so the scheme's 1/h^2 would be infinite; the grid
+    # must be refused by name before any step runs
     code = main(
         ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1",
          "--N", "4", "--J", "4", "--L", "1e-300"]
@@ -165,8 +165,8 @@ def test_underflowing_grid_spacing_exits_2(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error_l2=" not in captured.out
-    assert "step 1" in captured.err
-    assert "lost diagonal dominance" in captured.err
+    assert "build_spatial_grid: 1/h^2 is not finite" in captured.err
+    assert "L/J = 1e-300/4" in captured.err
 
 
 def test_malformed_config_line_exits_2(tmp_path, capsys):

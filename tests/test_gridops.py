@@ -144,9 +144,3 @@ def test_grid_function_validation():
         GridFunction(grid=g, values=np.zeros(4))
     with pytest.raises(ValueError):
         GridFunction(grid=g, values=np.zeros((5, 1)))
-
-
-def test_interior_view():
-    g = build_spatial_grid(1.0, 4)
-    w = GridFunction(grid=g, values=np.array([9.0, 1.0, 2.0, 3.0, 9.0]))
-    assert np.array_equal(w.interior, [1.0, 2.0, 3.0])

@@ -197,9 +197,9 @@ def test_run_study_writes_out_file(tmp_path):
     path = tmp_path / "auto.csv"
     plan = StudyPlan(
         problem="example1", alphas=(0.5,), gamma_rule=1.0, axis="time",
-        base_n=2, base_j=4, levels=1, out=str(path),
+        base_n=2, base_j=4, levels=1,
     )
-    run_study(plan)
+    emit_csv(run_study(plan), str(path))
     assert path.read_text().splitlines()[0] == CSV_HEADER
 
 
@@ -214,7 +214,7 @@ def test_dump_weights_csv_round_trip(tmp_path):
     assert len(parsed) == 4 * 5 // 2  # triangular count
     for rec in parsed:
         n, s = int(rec["n"]), int(rec["s"])
-        assert float(rec["weight"]) == weights.w[n, s]
+        assert float(rec["weight"]) == weights[n, s]
 
 
 def test_dump_trajectory_csv(tmp_path):
@@ -231,7 +231,7 @@ def test_dump_trajectory_csv(tmp_path):
     for rec, level in zip(parsed, result.trajectory):
         assert float(rec["t"]) == float(mesh.t[int(rec["n"])])
         for j in range(5):
-            assert float(rec[f"u_{j}"]) == level.values[j]
+            assert float(rec[f"u_{j}"]) == level[j]
 
     bare = solve(problem, mesh, grid, 0.5, SchemeConfig())
     with pytest.raises(ValueError):

@@ -126,6 +126,10 @@ def test_spatial_grid_validation():
         build_spatial_grid(0.0, 4)
     with pytest.raises(ValueError):
         build_spatial_grid(1.0, 1)
+    # h^2 underflows to 0, or 1/h^2 overflows: the scheme could not divide by it
+    for L in (1e-300, 1e-160):
+        with pytest.raises(ValueError, match="1/h\\^2 is not finite"):
+            build_spatial_grid(L, 4)
 
 
 def test_mesh_is_annotated_with_its_parameters():

@@ -2,7 +2,7 @@
 demands (residual oracle), and the per-step source modes agree with direct
 integration."""
 
-from math import pi
+from math import gamma, pi
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from memburgers.problems import (
     problem_by_name,
     sin_pi,
 )
-from memburgers.specialfn import gamma
 
 from oracles import f_half_reference, forcing_value, pde_residual
 

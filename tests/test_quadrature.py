@@ -1,12 +1,13 @@
 """Product-integration weight tests: closed form vs quadrature oracle, and
 the structural properties the stability theory rests on."""
 
+from math import gamma
+
 import numpy as np
 import pytest
 
 from memburgers.mesh import build_graded_mesh, build_mesh_from_levels
 from memburgers.quadrature import compute_weights
-from memburgers.specialfn import gamma
 
 from oracles import weight_by_quadrature
 
@@ -17,8 +18,8 @@ W11_UNIT_HALF = 0.752252778063675
 def test_single_unit_step_weight():
     mesh = build_mesh_from_levels([0.0, 1.0])
     w = compute_weights(mesh, 0.5)
-    assert abs(w.w[1, 1] - W11_UNIT_HALF) <= 1e-12
-    assert abs(w.w[1, 1] - 1.0 / gamma(2.5)) <= 1e-15
+    assert abs(w[1, 1] - W11_UNIT_HALF) <= 1e-12
+    assert abs(w[1, 1] - 1.0 / gamma(2.5)) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -31,9 +32,18 @@ def test_matches_double_quadrature_oracle(n_steps, grading, alpha):
     for n in range(1, n_steps + 1):
         for s in range(1, n + 1):
             ref = weight_by_quadrature(mesh.t, n, s, alpha)
-            assert abs(w.w[n, s] - ref) <= 1e-9 * abs(ref), (
-                f"weight ({n},{s}) off: closed form {w.w[n, s]!r}, oracle {ref!r}"
+            assert abs(w[n, s] - ref) <= 1e-9 * abs(ref), (
+                f"weight ({n},{s}) off: closed form {w[n, s]!r}, oracle {ref!r}"
             )
+
+
+def test_table_is_lower_triangular_array():
+    mesh = build_graded_mesh(1.0, 6, 1.5)
+    w = compute_weights(mesh, 0.4)
+    assert isinstance(w, np.ndarray)
+    assert w.shape == (7, 7)
+    assert np.all(w[np.triu_indices(7, k=1)] == 0.0)
+    assert np.all(w[0] == 0.0) and np.all(w[:, 0] == 0.0)
 
 
 def test_all_weights_positive_on_random_meshes():
@@ -45,7 +55,7 @@ def test_all_weights_positive_on_random_meshes():
         alpha = float(rng.uniform(0.02, 0.98))
         w = compute_weights(build_graded_mesh(t_final, n, grading), alpha)
         for level in range(1, n + 1):
-            assert np.all(w.w[level, 1 : level + 1] > 0.0)
+            assert np.all(w[level, 1 : level + 1] > 0.0)
 
 
 def test_alpha_near_one_recovers_plain_averaging():
@@ -55,8 +65,8 @@ def test_alpha_near_one_recovers_plain_averaging():
     w = compute_weights(mesh, 0.999)
     for n in range(1, 5):
         for s in range(1, n):
-            assert abs(w.w[n, s] - 1.0) <= 5e-3
-        assert abs(w.w[n, n] - 0.5) <= 5e-3
+            assert abs(w[n, s] - 1.0) <= 5e-3
+        assert abs(w[n, n] - 0.5) <= 5e-3
 
 
 def test_rule_is_exact_on_constants():
@@ -67,7 +77,7 @@ def test_rule_is_exact_on_constants():
         w = compute_weights(mesh, alpha)
         g2 = gamma(alpha + 2.0)
         for n in range(1, 11):
-            discrete = float(np.dot(w.w[n, 1 : n + 1], mesh.k[:n]))
+            discrete = float(np.dot(w[n, 1 : n + 1], mesh.k[:n]))
             exact = (mesh.t[n] ** (alpha + 1.0) - mesh.t[n - 1] ** (alpha + 1.0)) / (
                 mesh.k[n - 1] * g2
             )
@@ -84,7 +94,7 @@ def test_memory_pairing_positive_semidefinite():
         grading = float(rng.uniform(1.0, 3.0))
         alpha = float(rng.uniform(0.02, 0.98))
         mesh = build_graded_mesh(1.0, n, grading)
-        w = compute_weights(mesh, alpha).w
+        w = compute_weights(mesh, alpha)
         levels = rng.normal(size=n + 1)
         c = np.empty(n + 1)
         c[1] = levels[1]
@@ -102,7 +112,7 @@ def test_history_sum_constant_history_analytic():
     # sum the scheme applies is the discrete memory integral of the constant 1
     mesh = build_graded_mesh(1.0, 3, 1.0)
     w = compute_weights(mesh, 0.5)
-    row_sum = float(np.dot(w.w[3, 1:4], mesh.k))
+    row_sum = float(np.dot(w[3, 1:4], mesh.k))
     analytic = (mesh.t[3] ** 1.5 - mesh.t[2] ** 1.5) / (mesh.k[2] * gamma(2.5))
     assert abs(row_sum - analytic) <= 1e-12
 
@@ -114,8 +124,8 @@ def test_history_sum_level_one_uses_only_first_value():
     w = compute_weights(mesh, 0.4)
     first = np.array([0.0, 2.0, -1.0, 3.0, 0.0])
     stored = np.vstack([first, np.full(5, 7.0)])
-    out = (w.w[1, 1:] * mesh.k) @ stored
-    assert np.allclose(out, w.w[1, 1] * mesh.k[0] * first, rtol=1e-15)
+    out = (w[1, 1:] * mesh.k) @ stored
+    assert np.allclose(out, w[1, 1] * mesh.k[0] * first, rtol=1e-15)
 
 
 def test_nonpositive_weights_raise_value_error():

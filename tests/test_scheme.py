@@ -15,7 +15,7 @@ from memburgers.problems import (
     example1,
     example2,
 )
-from memburgers.quadrature import PIWeights, compute_weights
+from memburgers.quadrature import compute_weights
 from memburgers.scheme import (
     NonconvergenceError,
     SchemeConfig,
@@ -96,7 +96,7 @@ def test_zero_data_stays_exactly_zero():
     grid = build_spatial_grid(1.0, 8)
     result = solve(problem, mesh, grid, 0.5, SchemeConfig(), keep_trajectory=True)
     for level in result.trajectory:
-        assert np.array_equal(level.values, np.zeros(grid.J + 1))
+        assert np.array_equal(level, np.zeros(grid.J + 1))
     # the zero start satisfies the zero fixed point on the first pass
     assert all(r.iterations == 1 for r in result.reports)
 
@@ -109,7 +109,7 @@ def test_first_step_matches_dense_oracle():
     config = SchemeConfig(eps=1e-11, f_mode="endpoint_average")
     u1 = solve(problem, mesh, grid, alpha, config, keep_trajectory=True).trajectory[1]
     reference = dense_trajectory(problem, mesh, grid, alpha, config.f_mode)
-    assert np.max(np.abs(u1.values - reference[1])) <= 1e-8
+    assert np.max(np.abs(u1 - reference[1])) <= 1e-8
 
 
 def test_full_solve_matches_dense_oracle():
@@ -122,7 +122,7 @@ def test_full_solve_matches_dense_oracle():
         result = solve(problem, mesh, grid, alpha, config, keep_trajectory=True)
         reference = dense_trajectory(problem, mesh, grid, alpha, config.f_mode)
         for level, ref in zip(result.trajectory, reference):
-            assert np.max(np.abs(level.values - ref)) <= 1e-7
+            assert np.max(np.abs(level - ref)) <= 1e-7
 
 
 def test_nonconvergence_reports_failing_step():
@@ -163,11 +163,11 @@ def test_energy_bound_recomputed_from_trajectory():
     def l2(vals):
         return float(np.sqrt(grid.h * np.dot(vals[1:-1], vals[1:-1])))
 
-    budget = l2(result.trajectory[0].values)
+    budget = l2(result.trajectory[0])
     for n in range(1, mesh.N + 1):
         fh = f_half_reference(problem.forcing, mesh, n, config.f_mode, grid)
         budget += 2.0 * float(mesh.k[n - 1]) * l2(fh)
-        assert l2(result.trajectory[n].values) <= budget + 1e-9
+        assert l2(result.trajectory[n]) <= budget + 1e-9
 
 
 def test_solve_evaluates_each_profile_once():
@@ -224,13 +224,28 @@ def test_stability_check_raises_on_violation():
         scheme._check_stability(0.0, too_big, grid.h, step=1)
 
 
+def test_infinite_diagonal_raises(monkeypatch):
+    # dpttrs does not check finiteness, so a step whose diagonal is
+    # infinite must be refused by name before it is factored
+    def infinite_diagonal(mesh, alpha):
+        w = compute_weights(mesh, alpha)
+        w[1, 1] = np.inf
+        return w
+
+    monkeypatch.setattr(scheme, "compute_weights", infinite_diagonal)
+    mesh = build_graded_mesh(1.0, 3, 1.0)
+    grid = build_spatial_grid(1.0, 8)
+    with pytest.raises(ValueError, match="step 1: .*lost diagonal dominance"):
+        solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
+
+
 def test_lost_diagonal_dominance_raises(monkeypatch):
     # a zero diagonal weight leaves no implicit diffusion; the step must
     # refuse it with a ValueError, which still fires under python -O
     def zero_diagonal(mesh, alpha):
-        w = compute_weights(mesh, alpha).w.copy()
+        w = compute_weights(mesh, alpha)
         w[2, 2] = 0.0
-        return PIWeights(mesh=mesh, alpha=alpha, w=w)
+        return w
 
     monkeypatch.setattr(scheme, "compute_weights", zero_diagonal)
     mesh = build_graded_mesh(1.0, 3, 1.0)
@@ -254,8 +269,8 @@ def test_boundary_values_exactly_zero():
     config = SchemeConfig(f_mode="interval_average")
     result = solve(problem, mesh, grid, 0.3, config, keep_trajectory=True)
     for level in result.trajectory:
-        assert level.values[0] == 0.0
-        assert level.values[-1] == 0.0
+        assert level[0] == 0.0
+        assert level[-1] == 0.0
 
 
 def test_solve_is_deterministic():
@@ -275,6 +290,23 @@ def test_single_step_mesh():
     grid = build_spatial_grid(1.0, 8)
     result = solve(problem, mesh, grid, 0.5, SchemeConfig(), keep_trajectory=True)
     assert len(result.reports) == 1
-    assert len(result.trajectory) == 2
-    assert np.array_equal(result.final.values, result.trajectory[1].values)
+    _assert_trajectory_shape(result, problem)
     assert result.max_fp_iterations == result.reports[0].iterations
+
+
+def test_multi_step_trajectory_array():
+    problem = example1(0.5)
+    mesh = build_graded_mesh(1.0, 6, 1.5)
+    grid = build_spatial_grid(1.0, 8)
+    result = solve(problem, mesh, grid, 0.5, SchemeConfig(), keep_trajectory=True)
+    _assert_trajectory_shape(result, problem)
+    assert solve(problem, mesh, grid, 0.5, SchemeConfig()).trajectory is None
+
+
+def _assert_trajectory_shape(result, problem):
+    grid = result.grid
+    assert result.trajectory.shape == (result.mesh.N + 1, grid.J + 1)
+    assert np.array_equal(result.trajectory[-1], result.final.values)
+    u0 = np.zeros(grid.J + 1)
+    u0[1:-1] = problem.u0(grid.x[1:-1])
+    assert np.array_equal(result.trajectory[0], u0)

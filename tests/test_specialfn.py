@@ -1,11 +1,11 @@
-"""Gamma function contract tests."""
+"""Accuracy of the stdlib Gamma function, which the weights and the
+manufactured problems call directly and need to 1e-13 relative."""
 
 import math
+from math import gamma
 
 import numpy as np
 import pytest
-
-from memburgers.specialfn import gamma
 
 from oracles import gamma_by_integral
 
@@ -41,9 +41,3 @@ def test_recurrence_property():
         lhs = gamma(q + 1.0)
         rhs = q * gamma(q)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs), f"recurrence broken at q={q}"
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, -math.inf, math.nan])
-def test_domain_errors(bad):
-    with pytest.raises(ValueError):
-        gamma(bad)
