@@ -90,9 +90,9 @@ class StudyPlan:
     base_n: int
     base_j: int
     levels: int
-    f_mode: str = "endpoint_average"
-    eps: float = 1e-6
-    max_steps: int = 300
+    f_mode: str = SchemeConfig.f_mode
+    eps: float = SchemeConfig.eps
+    max_steps: int = SchemeConfig.max_steps
     t_final: float = 1.0
     length: float = 1.0
 

@@ -101,15 +101,15 @@ class MeshHypothesesReport:
 def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
     """Build the graded mesh t_n = (n * k_base)**gamma on [0, T].
 
-    Requires T > 0, N >= 1, gamma >= 1.  Levels are computed by direct
+    Requires a finite T > 0, N >= 1, gamma >= 1.  Levels are computed by direct
     exponentiation (not step accumulation) and the endpoints are pinned to
     0 and T exactly.
     """
     T = float(T)
     gamma = float(gamma)
     N = int(N)
-    if not T > 0.0:
-        raise ValueError(f"build_graded_mesh: T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"build_graded_mesh: T must be positive and finite, got {T}")
     if N < 1:
         raise ValueError(f"build_graded_mesh: N must be >= 1, got {N}")
     if not gamma >= 1.0:
@@ -138,6 +138,9 @@ def build_mesh_from_levels(levels, gamma: float = 1.0) -> TemporalMesh:
         raise ValueError("build_mesh_from_levels: need at least two levels")
     if t[0] != 0.0:
         raise ValueError(f"build_mesh_from_levels: t_0 must be 0, got {t[0]}")
+    if not np.all(np.isfinite(t)):
+        bad = t[~np.isfinite(t)][0]
+        raise ValueError(f"build_mesh_from_levels: levels must be finite, got {bad}")
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("build_mesh_from_levels: levels must be strictly increasing")
     gamma = float(gamma)
@@ -150,11 +153,11 @@ def build_mesh_from_levels(levels, gamma: float = 1.0) -> TemporalMesh:
 
 
 def build_spatial_grid(L: float, J: int) -> SpatialGrid:
-    """Uniform grid on [0, L] with J intervals (J >= 2) and a finite 1/h^2."""
+    """Uniform grid on [0, L] (L finite) with J intervals (J >= 2) and a finite 1/h^2."""
     L = float(L)
     J = int(J)
-    if not L > 0.0:
-        raise ValueError(f"build_spatial_grid: L must be positive, got {L}")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"build_spatial_grid: L must be positive and finite, got {L}")
     if J < 2:
         raise ValueError(f"build_spatial_grid: J must be >= 2, got {J}")
     h = L / J

@@ -2,6 +2,7 @@
 merging, and the installed entry points."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import memburgers
-from memburgers.cli import main
-from memburgers.harness import CSV_HEADER
+from memburgers.cli import build_parser, main
+from memburgers.harness import CSV_HEADER, StudyPlan
+from memburgers.scheme import SchemeConfig
 
 
 def test_solve_prints_summary(capsys):
@@ -115,9 +117,80 @@ def test_auto_sigma_gamma(capsys):
     assert "gamma=1 " in out
 
 
+def _as_config(flags):
+    """The key=value lines that stand for a list of flags and their values."""
+    lines, values = [], None
+    for token in flags:
+        if token.startswith("--"):
+            values = []
+            lines.append((token[2:], values))
+        else:
+            values.append(token)
+    return "".join(f"{key}={','.join(vals)}\n" for key, vals in lines)
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--example", "2", "--alpha", "0.4", "--gamma", "1.6", "--N", "3", "--J", "8",
+     "--f-mode", "interval-average", "--eps", "1e-8", "--max-steps", "50",
+     "--T", "0.5", "--L", "2"],
+    ["study-time", "--example", "1", "--alpha", "0.25", "0.75", "--gamma", "2/(alpha+1)",
+     "--N", "2", "--J", "8", "--levels", "2"],
+    ["study-space", "--example", "1", "--alpha", "0.5", "--gamma", "1.0", "--N", "4",
+     "--J", "4", "--levels", "2", "--f-mode", "midpoint"],
+    ["weights-dump", "--alpha", "0.3", "--gamma", "2/(alpha+2)", "--N", "4", "--T", "2"],
+    ["check-mesh", "--gamma", "1.6", "--N", "16", "--T", "2"],
+], ids=lambda command: command[0])
+def test_config_file_and_flags_are_one_path(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_as_config(command[1:]))
+    outputs = []
+    for argv in (command, [command[0], "--config", str(cfg)]):
+        assert main(argv) == 0
+        outputs.append(re.sub(r"wall_time_seconds=\S+", "", capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("line, named", [("esp=1e-14", "--esp"), ("levels=2", "--levels")])
+def test_config_key_the_subcommand_does_not_take_exits_2(tmp_path, capsys, line, named):
+    # a misspelt key, or one another subcommand takes, is refused, not ignored
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"example=1\nalpha=0.5\ngamma=1.0\nN=2\nJ=8\n{line}\n")
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--config", str(cfg)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert named in err
+
+
+def test_config_file_naming_a_config_file_exits_2(tmp_path, capsys):
+    inner = tmp_path / "inner.cfg"
+    inner.write_text("N=2\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"example=1\nalpha=0.5\ngamma=1.0\nJ=8\nconfig={inner}\n")
+    assert main(["solve", "--config", str(cfg), "--N", "2"]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_each_default_has_one_source():
+    parser = build_parser()
+    required = ["--example", "1", "--alpha", "0.5", "--gamma", "1", "--N", "2", "--J", "8"]
+    scheme = SchemeConfig()
+    plan = StudyPlan(problem="example1", alphas=(0.5,), gamma_rule=1.0, axis="time",
+                     base_n=2, base_j=8, levels=2)
+    for argv in (["solve", *required], ["study-time", *required, "--levels", "2"]):
+        args = parser.parse_args(argv)
+        assert args.eps == scheme.eps
+        assert args.max_steps == scheme.max_steps
+        assert args.f_mode.replace("-", "_") == scheme.f_mode
+        assert (args.T, args.L) == (plan.t_final, plan.length)
+    assert (plan.eps, plan.max_steps, plan.f_mode) == (scheme.eps, scheme.max_steps, scheme.f_mode)
+
+
 def test_missing_required_option_exits_2(capsys):
-    code = main(["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1.0", "--J", "8"])
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1.0", "--J", "8"])
+    assert info.value.code == 2
     assert "--N" in capsys.readouterr().err
 
 
@@ -143,16 +216,18 @@ def test_bad_flag_values_rejected_by_parser():
 
 
 def test_bad_config_values_exit_2(tmp_path, capsys):
+    # a file value is checked by the parser exactly as the flag would be
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("example=3\nalpha=0.5\ngamma=1.0\nN=2\nJ=8\n")
-    code = main(["solve", "--config", str(cfg)])
-    assert code == 2
-    assert "--example" in capsys.readouterr().err
-
-    cfg.write_text("example=1\nalpha=0.5\ngamma=1.0\nN=2\nJ=8\nf-mode=simpson\n")
-    code = main(["solve", "--config", str(cfg)])
-    assert code == 2
-    assert "f-mode" in capsys.readouterr().err
+    for text, named in (
+        ("example=3\nalpha=0.5\ngamma=1.0\nN=2\nJ=8\n", "--example"),
+        ("example=1\nalpha=0.5\ngamma=1.0\nN=2\nJ=8\nf-mode=simpson\n", "f-mode"),
+        ("example=1\nalpha=0.5\ngamma=1.0\nN=2.5\nJ=8\n", "--N"),
+    ):
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--config", str(cfg)])
+        assert info.value.code == 2
+        assert named in capsys.readouterr().err
 
 
 def test_underflowing_grid_spacing_exits_2(capsys):
@@ -167,6 +242,19 @@ def test_underflowing_grid_spacing_exits_2(capsys):
     assert "error_l2=" not in captured.out
     assert "build_spatial_grid: 1/h^2 is not finite" in captured.err
     assert "L/J = 1e-300/4" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--L", "--T"])
+def test_non_finite_length_or_final_time_exits_2(capsys, flag):
+    # refused by name when the grid or mesh is built, before numpy warns
+    code = main(
+        ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1",
+         "--N", "4", "--J", "4", flag, "inf"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error_l2=" not in captured.out
+    assert f"{flag[2:]} must be positive and finite, got inf" in captured.err
 
 
 def test_malformed_config_line_exits_2(tmp_path, capsys):

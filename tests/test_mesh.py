@@ -1,5 +1,7 @@
 """Temporal mesh construction and grading-hypothesis diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,9 @@ def test_graded_mesh_validation():
         build_graded_mesh(1.0, 0, 1.0)
     with pytest.raises(ValueError):
         build_graded_mesh(1.0, 8, 0.5)
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"T must be positive and finite, got {T}"):
+            build_graded_mesh(T, 8, 1.0)
 
 
 def test_levels_validation():
@@ -100,6 +105,11 @@ def test_levels_validation():
         build_mesh_from_levels([0.0, 0.6, 0.5, 1.0])  # not increasing
     with pytest.raises(ValueError):
         build_mesh_from_levels([0.0])  # too short
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"levels must be finite, got {bad}"):
+            build_mesh_from_levels([0.0, 0.5, bad])
+    with pytest.raises(ValueError, match="levels must be finite, got inf"):
+        build_mesh_from_levels([0.0, math.inf, math.inf])  # inf - inf would warn
 
 
 def test_temporal_mesh_shape_validation():
@@ -126,6 +136,9 @@ def test_spatial_grid_validation():
         build_spatial_grid(0.0, 4)
     with pytest.raises(ValueError):
         build_spatial_grid(1.0, 1)
+    for L in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"L must be positive and finite, got {L}"):
+            build_spatial_grid(L, 4)
     # h^2 underflows to 0, or 1/h^2 overflows: the scheme could not divide by it
     for L in (1e-300, 1e-160):
         with pytest.raises(ValueError, match="1/h\\^2 is not finite"):
