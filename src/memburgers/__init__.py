@@ -13,11 +13,9 @@ solutions with t**sigma-type initial layers.
 from .gridops import GridFunction, norm_l2
 from .harness import (
     ConvergenceRow,
-    OrderPrediction,
     StudyPlan,
     emit_csv,
     error_at_final_time,
-    expected_temporal_order,
     observed_rate,
     resolve_gamma,
     run_study,
@@ -27,7 +25,6 @@ from .mesh import (
     SpatialGrid,
     TemporalMesh,
     build_graded_mesh,
-    build_mesh_from_levels,
     build_spatial_grid,
     check_mesh_hypotheses,
 )
@@ -59,7 +56,6 @@ __all__ = [
     "SpatialGrid",
     "MeshHypothesesReport",
     "build_graded_mesh",
-    "build_mesh_from_levels",
     "build_spatial_grid",
     "check_mesh_hypotheses",
     "compute_weights",
@@ -81,10 +77,8 @@ __all__ = [
     "problem_by_name",
     "ConvergenceRow",
     "StudyPlan",
-    "OrderPrediction",
     "error_at_final_time",
     "observed_rate",
-    "expected_temporal_order",
     "resolve_gamma",
     "run_study",
     "emit_csv",

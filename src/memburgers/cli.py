@@ -14,10 +14,10 @@ Every flag can also be given in a plain key=value config file passed with
 as `alpha=0.25,0.75` does in studies.  Each line becomes the flag it names,
 placed before the explicit flags, so argparse checks a file value exactly
 like the flag, explicit flags override the file, and a key the subcommand
-does not take is refused.  `--help` shows the required flags without
-brackets in its usage line.  Exit status is 0 on success and nonzero with
-a diagnostic on failure (nonconvergence, invalid parameters, unwritable
-output path).
+does not take is refused; each subcommand takes only the flags it reads.
+`--help` shows the required flags without brackets in its usage line.
+Exit status is 0 on success and nonzero with a diagnostic on failure
+(nonconvergence, invalid parameters, unwritable output path).
 """
 
 from __future__ import annotations
@@ -73,37 +73,27 @@ def _gamma_value(text: str):
         ) from None
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, required: Sequence[str], *, alphas: bool = False
-) -> None:
-    """Flags every subcommand takes; --gamma, --N and those named in
-    `required` must be given."""
+def _add_mesh(parser: argparse.ArgumentParser) -> None:
+    """Flags of every subcommand: the config file and the temporal mesh."""
     parser.add_argument("--config", help="key=value file; explicit flags override it")
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        nargs="+" if alphas else None,
-        required="alpha" in required,
-        help="memory exponent(s) in (0, 1)" if alphas else "memory exponent in (0, 1)",
-    )
-    parser.add_argument(
-        "--gamma",
-        type=_gamma_value,
-        required=True,
-        help="grading exponent >= 1, or auto-sigma / 2/(alpha+1) / 2/(alpha+2)",
-    )
+    parser.add_argument("--gamma", type=_gamma_value, required=True,
+                        help="grading exponent >= 1, or auto-sigma / 2/(alpha+1) / 2/(alpha+2)")
     parser.add_argument("--N", type=int, required=True, help="number of time steps")
-    parser.add_argument("--J", type=int, required="J" in required,
-                        help="number of space intervals")
     parser.add_argument("--T", type=float, default=StudyPlan.t_final,
                         help="final time (default %(default)s)")
-    parser.add_argument("--L", type=float, default=StudyPlan.length,
-                        help="domain length (default %(default)s)")
 
 
-def _add_problem(parser: argparse.ArgumentParser) -> None:
+def _add_solver(parser: argparse.ArgumentParser, *, alphas: bool = False) -> None:
+    """Flags of solve and the studies: problem, grid and solver settings."""
     parser.add_argument("--example", type=int, choices=(1, 2), required=True,
                         help="manufactured problem")
+    parser.add_argument(
+        "--alpha", type=float, nargs="+" if alphas else None, required=True,
+        help="memory exponent(s) in (0, 1)" if alphas else "memory exponent in (0, 1)",
+    )
+    parser.add_argument("--J", type=int, required=True, help="number of space intervals")
+    parser.add_argument("--L", type=float, default=StudyPlan.length,
+                        help="domain length (default %(default)s)")
     parser.add_argument(
         "--f-mode",
         choices=[mode.replace("_", "-") for mode in F_MODES],
@@ -125,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one solve and print a summary")
-    _add_common(p, ("alpha", "J"))
-    _add_problem(p)
+    _add_mesh(p)
+    _add_solver(p)
     p.add_argument("--out", help="write the full trajectory as CSV")
     p.set_defaults(run=_cmd_solve)
 
@@ -135,19 +125,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("study-space", "double J at fixed N"),
     ):
         p = sub.add_parser(name, help=f"convergence study ({axis_help})")
-        _add_common(p, ("alpha", "J"), alphas=True)
-        _add_problem(p)
+        _add_mesh(p)
+        _add_solver(p, alphas=True)
         p.add_argument("--levels", type=int, required=True, help="number of refinement levels")
         p.add_argument("--out", help="write the study rows as CSV")
         p.set_defaults(run=_cmd_study)
 
     p = sub.add_parser("weights-dump", help="dump the weight table as CSV")
-    _add_common(p, ("alpha",))
+    _add_mesh(p)
+    p.add_argument("--alpha", type=float, required=True, help="memory exponent in (0, 1)")
     p.add_argument("--out", help="CSV path (default: stdout)")
     p.set_defaults(run=_cmd_weights_dump)
 
     p = sub.add_parser("check-mesh", help="report grading-hypothesis diagnostics")
-    _add_common(p, ())
+    _add_mesh(p)
     p.set_defaults(run=_cmd_check_mesh)
 
     return parser

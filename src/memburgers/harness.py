@@ -16,9 +16,9 @@ index sigma has three regimes:
     gamma = 2/sigma :  k**2 * log(t_N / t_1)
     gamma > 2/sigma :  k**2
 
-`expected_temporal_order` encodes this; a uniform mesh on a sigma = 1+alpha
-problem therefore shows order 1+alpha, and grading at gamma = 2/sigma
-restores (essentially) second order.
+A uniform mesh on a sigma = 1+alpha problem therefore shows order 1+alpha,
+and the gamma rule auto-sigma (gamma = 2/sigma, with the problem's index
+for the study's f mode) restores (essentially) second order.
 """
 
 from __future__ import annotations
@@ -33,17 +33,15 @@ import numpy as np
 
 from .gridops import GridFunction, norm_l2
 from .mesh import build_graded_mesh, build_spatial_grid
-from .problems import F_MODES, ManufacturedProblem, problem_by_name
+from .problems import ManufacturedProblem, problem_by_name
 from .scheme import SchemeConfig, solve
 
 __all__ = [
     "CSV_HEADER",
     "ConvergenceRow",
     "StudyPlan",
-    "OrderPrediction",
     "error_at_final_time",
     "observed_rate",
-    "expected_temporal_order",
     "resolve_gamma",
     "run_study",
     "emit_csv",
@@ -97,28 +95,18 @@ class StudyPlan:
     length: float = 1.0
 
     def __post_init__(self) -> None:
+        SchemeConfig(eps=self.eps, max_steps=self.max_steps, f_mode=self.f_mode)  # checks them
         if self.axis not in ("time", "space"):
             raise ValueError(f"StudyPlan: axis must be 'time' or 'space', got {self.axis!r}")
         if self.levels < 1:
             raise ValueError(f"StudyPlan: levels must be >= 1, got {self.levels}")
         if not self.alphas:
             raise ValueError("StudyPlan: need at least one alpha")
-        if self.f_mode not in F_MODES:
-            raise ValueError(f"StudyPlan: unknown f mode {self.f_mode!r}")
         if isinstance(self.gamma_rule, str) and self.gamma_rule not in GAMMA_RULES:
             raise ValueError(
                 f"StudyPlan: gamma rule must be a number or one of {GAMMA_RULES}, "
                 f"got {self.gamma_rule!r}"
             )
-
-
-@dataclass(frozen=True)
-class OrderPrediction:
-    """Expected temporal order; log_factor marks the k^2 log(t_N/t_1) regime."""
-
-    order: float
-    regime: str  # "below_threshold" | "at_threshold" | "above_threshold"
-    log_factor: bool
 
 
 def error_at_final_time(
@@ -136,20 +124,6 @@ def observed_rate(error_coarse: float, error_fine: float) -> float:
             f"observed_rate: errors must be positive, got {error_coarse}, {error_fine}"
         )
     return math.log2(error_coarse / error_fine)
-
-
-def expected_temporal_order(gamma: float, sigma: float) -> OrderPrediction:
-    """Predicted temporal order for grading exponent gamma and index sigma."""
-    if not gamma >= 1.0:
-        raise ValueError(f"expected_temporal_order: gamma must be >= 1, got {gamma}")
-    if not sigma > 0.0:
-        raise ValueError(f"expected_temporal_order: sigma must be positive, got {sigma}")
-    threshold = 2.0 / sigma
-    if math.isclose(gamma, threshold, rel_tol=1e-9, abs_tol=0.0):
-        return OrderPrediction(order=2.0, regime="at_threshold", log_factor=True)
-    if gamma < threshold:
-        return OrderPrediction(order=gamma * sigma, regime="below_threshold", log_factor=False)
-    return OrderPrediction(order=2.0, regime="above_threshold", log_factor=False)
 
 
 def resolve_gamma(
@@ -191,11 +165,11 @@ def run_study(plan: StudyPlan) -> List[ConvergenceRow]:
     Solver nonconvergence propagates (the exception names the step); rows
     computed so far are lost, matching the all-or-nothing CSV contract.
     """
+    config = SchemeConfig(eps=plan.eps, max_steps=plan.max_steps, f_mode=plan.f_mode)
     rows: List[ConvergenceRow] = []
     for alpha in plan.alphas:
         problem = problem_by_name(plan.problem, alpha)
         gamma = resolve_gamma(plan.gamma_rule, problem, plan.f_mode)
-        config = SchemeConfig(eps=plan.eps, max_steps=plan.max_steps, f_mode=plan.f_mode)
         prev_error: Optional[float] = None
         for level in range(plan.levels):
             n = plan.base_n * (2**level if plan.axis == "time" else 1)

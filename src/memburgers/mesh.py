@@ -7,6 +7,8 @@ Time levels follow the power-law grading
 so t_0 = 0, t_N = T, and gamma = 1 recovers the uniform mesh.  Grading
 concentrates levels near t = 0 where solutions of the memory problem lose
 regularity, which is what restores second-order time accuracy.
+`build_graded_mesh` builds these levels; `TemporalMesh(levels, gamma)`
+wraps any strictly increasing levels from t_0 = 0, hand-built ones too.
 
 The convergence theory assumes three structural hypotheses on the mesh:
 
@@ -24,7 +26,7 @@ genuinely fail, and it is checked for every consecutive step pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +35,6 @@ __all__ = [
     "SpatialGrid",
     "MeshHypothesesReport",
     "build_graded_mesh",
-    "build_mesh_from_levels",
     "build_spatial_grid",
     "check_mesh_hypotheses",
 ]
@@ -44,26 +45,42 @@ _STEP_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class TemporalMesh:
-    """Strictly increasing time levels t[0..N] with steps k[i] = t[i+1] - t[i].
+    """Strictly increasing time levels t[0..N], t[0] = 0, and their grading exponent.
 
-    Attributes use the 1-based convention of the scheme: step n (n = 1..N)
-    spans [t[n-1], t[n]] and has length k[n-1].  Instances are immutable;
-    share freely across threads.
+    N, T = t[N], the steps k = diff(t) and k_base = T**(1/gamma)/N are
+    derived at construction.  Attributes use the 1-based convention of the
+    scheme: step n (n = 1..N) spans [t[n-1], t[n]] and has length k[n-1].
+    Instances are immutable; share freely across threads.
     """
 
-    T: float
-    N: int
-    gamma: float
-    k_base: float
     t: np.ndarray  # shape (N+1,)
-    k: np.ndarray  # shape (N,)
+    gamma: float = 1.0
+    N: int = field(init=False)
+    T: float = field(init=False)
+    k: np.ndarray = field(init=False)  # shape (N,)
+    k_base: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.t.shape != (self.N + 1,) or self.k.shape != (self.N,):
-            raise ValueError(
-                f"TemporalMesh: N={self.N} needs t of shape ({self.N + 1},) and k of "
-                f"shape ({self.N},), got {self.t.shape} and {self.k.shape}"
-            )
+        t = np.array(self.t, dtype=float)
+        gamma = float(self.gamma)
+        if t.ndim != 1 or t.size < 2:
+            raise ValueError(f"TemporalMesh: need 1-D levels, at least two, got shape {t.shape}")
+        if t[0] != 0.0:
+            raise ValueError(f"TemporalMesh: t_0 must be 0, got {t[0]}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"TemporalMesh: levels must be finite, got {t[~np.isfinite(t)][0]}")
+        k = np.diff(t)
+        if not np.all(k > 0.0):
+            n = int(np.argmin(k > 0.0)) + 1
+            raise ValueError(f"TemporalMesh: levels must be strictly increasing, "
+                             f"got t_{n} = {t[n]} after t_{n - 1} = {t[n - 1]}")
+        if not gamma >= 1.0:
+            raise ValueError(f"TemporalMesh: gamma must be >= 1, got {gamma}")
+        N = t.size - 1
+        T = float(t[N])
+        derived = dict(t=t, gamma=gamma, N=N, T=T, k=k, k_base=T ** (1.0 / gamma) / N)
+        for name, value in derived.items():  # frozen, so set through object
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,41 +132,10 @@ def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
     if not gamma >= 1.0:
         raise ValueError(f"build_graded_mesh: gamma must be >= 1, got {gamma}")
 
-    k_base = T ** (1.0 / gamma) / N
-    t = (np.arange(N + 1, dtype=float) * k_base) ** gamma
+    t = (np.arange(N + 1, dtype=float) * (T ** (1.0 / gamma) / N)) ** gamma
     t[0] = 0.0
     t[N] = T  # exact endpoint; the power form matches it to roundoff anyway
-    if not np.all(np.diff(t) > 0.0):
-        raise ValueError(
-            f"build_graded_mesh: levels not strictly increasing for T={T}, N={N}, gamma={gamma}"
-        )
-    return TemporalMesh(T=T, N=N, gamma=gamma, k_base=k_base, t=t, k=np.diff(t))
-
-
-def build_mesh_from_levels(levels, gamma: float = 1.0) -> TemporalMesh:
-    """Wrap explicit time levels (t_0 = 0 < t_1 < ... < t_N) as a TemporalMesh.
-
-    Intended for diagnostics on hand-built meshes; `gamma` only enters the
-    hypothesis formulas, and k_base is set to T**(1/gamma)/N as for the
-    power-law construction.
-    """
-    t = np.asarray(levels, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("build_mesh_from_levels: need at least two levels")
-    if t[0] != 0.0:
-        raise ValueError(f"build_mesh_from_levels: t_0 must be 0, got {t[0]}")
-    if not np.all(np.isfinite(t)):
-        bad = t[~np.isfinite(t)][0]
-        raise ValueError(f"build_mesh_from_levels: levels must be finite, got {bad}")
-    if not np.all(np.diff(t) > 0.0):
-        raise ValueError("build_mesh_from_levels: levels must be strictly increasing")
-    gamma = float(gamma)
-    if not gamma >= 1.0:
-        raise ValueError(f"build_mesh_from_levels: gamma must be >= 1, got {gamma}")
-    N = t.size - 1
-    T = float(t[-1])
-    k_base = T ** (1.0 / gamma) / N
-    return TemporalMesh(T=T, N=N, gamma=gamma, k_base=k_base, t=t.copy(), k=np.diff(t))
+    return TemporalMesh(t, gamma)
 
 
 def build_spatial_grid(L: float, J: int) -> SpatialGrid:

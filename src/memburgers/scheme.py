@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _STABILITY_SLACK = 1e-9
+_BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L, t) = 0
 
 
 class NonconvergenceError(RuntimeError):
@@ -220,12 +221,20 @@ def solve(
 ) -> SolveResult:
     """Run all N steps; returns the final level and per-step reports.
 
-    NonconvergenceError propagates with the failing step attached.
+    NonconvergenceError propagates with the failing step attached.  A grid on
+    which the exact u(L, t) is nonzero at t = 0 or t = T is refused up front.
     """
     if not math.isclose(alpha, problem.alpha, rel_tol=0.0, abs_tol=1e-14):
         raise ValueError(
             f"solve: alpha {alpha} does not match problem alpha {problem.alpha}"
         )
+    for t in (0.0, mesh.T):
+        u = np.asarray(problem.exact(grid.x, t), dtype=float)
+        if abs(u[-1]) > _BOUNDARY_TOL * max(1.0, float(np.max(np.abs(u)))):
+            raise ValueError(
+                f"solve: {problem.name} does not vanish at x = L = {grid.L} "
+                f"(u = {u[-1]:.3e} at t = {t}); choose a whole-number L"
+            )
     w = compute_weights(mesh, alpha)
     h = grid.h
     u_prev = np.zeros(grid.J + 1)

@@ -15,11 +15,15 @@ operators
 
 and the staggered difference (w_{j+1} - w_j)/h at the half nodes are the
 reference operators of the summation-by-parts identity tests.
+`expected_temporal_order` states the temporal order the convergence
+theory predicts for a grading exponent and a regularity index; the
+convergence studies are checked against it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -275,3 +279,26 @@ def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
             levels.append(u_prev)
 
     return levels
+
+
+@dataclass(frozen=True)
+class OrderPrediction:
+    """Expected temporal order; log_factor marks the k^2 log(t_N/t_1) regime."""
+
+    order: float
+    regime: str  # "below_threshold" | "at_threshold" | "above_threshold"
+    log_factor: bool
+
+
+def expected_temporal_order(gamma: float, sigma: float) -> OrderPrediction:
+    """Predicted temporal order for grading exponent gamma and index sigma."""
+    if not gamma >= 1.0:
+        raise ValueError(f"expected_temporal_order: gamma must be >= 1, got {gamma}")
+    if not sigma > 0.0:
+        raise ValueError(f"expected_temporal_order: sigma must be positive, got {sigma}")
+    threshold = 2.0 / sigma
+    if math.isclose(gamma, threshold, rel_tol=1e-9, abs_tol=0.0):
+        return OrderPrediction(order=2.0, regime="at_threshold", log_factor=True)
+    if gamma < threshold:
+        return OrderPrediction(order=gamma * sigma, regime="below_threshold", log_factor=False)
+    return OrderPrediction(order=2.0, regime="above_threshold", log_factor=False)

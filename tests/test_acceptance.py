@@ -11,7 +11,7 @@ import pytest
 
 from memburgers import scheme
 from memburgers.gridops import convection_values, norm_l2, second_diff_values
-from memburgers.harness import StudyPlan, expected_temporal_order, run_study
+from memburgers.harness import StudyPlan, run_study
 from memburgers.mesh import build_graded_mesh, build_spatial_grid
 from memburgers.problems import example1, example2
 from memburgers.quadrature import compute_weights
@@ -22,6 +22,7 @@ from oracles import (
     delta_c,
     delta_f,
     dense_trajectory,
+    expected_temporal_order,
     shift_b,
     shift_f,
     staggered_diff,

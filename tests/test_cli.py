@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, output contracts, config-file
 merging, and the installed entry points."""
 
+import argparse
+import ast
+import inspect
 import os
 import re
+import textwrap
 import shutil
 import subprocess
 import sys
@@ -163,6 +167,28 @@ def test_config_key_the_subcommand_does_not_take_exits_2(tmp_path, capsys, line,
     assert named in err
 
 
+def test_every_declared_flag_is_read():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        handler = ast.parse(textwrap.dedent(inspect.getsource(sub.get_default("run"))))
+        read = {node.attr for node in ast.walk(handler) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        declared = {action.dest for action in sub._actions} - {"help", "config"}
+        assert declared <= read, f"{name} declares unread flags {sorted(declared - read)}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-mesh", "--gamma", "1.6", "--N", "16", "--alpha", "0.5"],
+    ["weights-dump", "--alpha", "0.5", "--gamma", "1.0", "--N", "3", "--J", "8"],
+], ids=lambda argv: argv[0])
+def test_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 def test_config_file_naming_a_config_file_exits_2(tmp_path, capsys):
     inner = tmp_path / "inner.cfg"
     inner.write_text("N=2\n")
@@ -242,6 +268,18 @@ def test_underflowing_grid_spacing_exits_2(capsys):
     assert "error_l2=" not in captured.out
     assert "build_spatial_grid: 1/h^2 is not finite" in captured.err
     assert "L/J = 1e-300/4" in captured.err
+
+
+def test_length_breaking_the_boundary_condition_exits_2(capsys):
+    # the profiles vanish only at whole-number x, so u(1.5, t) != 0
+    code = main(
+        ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1",
+         "--N", "16", "--J", "64", "--L", "1.5"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error_l2=" not in captured.out
+    assert "example1 does not vanish at x = L = 1.5" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--L", "--T"])

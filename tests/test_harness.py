@@ -2,6 +2,7 @@
 threshold predictor, study execution, and the CSV round trips."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from memburgers.harness import (
     dump_weights_csv,
     emit_csv,
     error_at_final_time,
-    expected_temporal_order,
     observed_rate,
     resolve_gamma,
     run_study,
@@ -23,6 +23,8 @@ from memburgers.mesh import build_graded_mesh, build_spatial_grid
 from memburgers.problems import example1, example2
 from memburgers.quadrature import compute_weights
 from memburgers.scheme import SchemeConfig, solve
+
+from oracles import expected_temporal_order
 
 SQRT_3_4 = 0.8660254037844386  # frozen: sqrt(0.75)
 RATE_2011_0963 = 1.0633651053898021  # frozen: log2(2.0116e-3 / 9.6258e-4)
@@ -110,6 +112,11 @@ def test_study_plan_validation():
         StudyPlan(**{**ok, "f_mode": "simpson"})
     with pytest.raises(ValueError):
         StudyPlan(**{**ok, "gamma_rule": "2/alpha"})
+    # solver settings are checked by the SchemeConfig the study will run
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        StudyPlan(**{**ok, "eps": math.inf})
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        StudyPlan(**{**ok, "max_steps": 0})
 
 
 def test_run_study_block_structure():

@@ -8,7 +8,6 @@ import pytest
 from memburgers.mesh import (
     TemporalMesh,
     build_graded_mesh,
-    build_mesh_from_levels,
     build_spatial_grid,
     check_mesh_hypotheses,
 )
@@ -75,7 +74,7 @@ def test_uniform_mesh_has_zero_step_increase():
 
 def test_hand_built_mesh_with_shrinking_step_fails():
     # k = (0.5, 0.1, 0.4): the middle step shrinks, breaking monotonicity
-    mesh = build_mesh_from_levels([0.0, 0.5, 0.6, 1.0], gamma=1.0)
+    mesh = TemporalMesh([0.0, 0.5, 0.6, 1.0], gamma=1.0)
     report = check_mesh_hypotheses(mesh)
     assert not report.monotone_steps_ok
     assert not report.all_ok
@@ -99,26 +98,22 @@ def test_graded_mesh_validation():
 
 
 def test_levels_validation():
-    with pytest.raises(ValueError):
-        build_mesh_from_levels([0.1, 0.5, 1.0])  # t_0 != 0
-    with pytest.raises(ValueError):
-        build_mesh_from_levels([0.0, 0.6, 0.5, 1.0])  # not increasing
-    with pytest.raises(ValueError):
-        build_mesh_from_levels([0.0])  # too short
+    # ValueErrors, not asserts, so python -O still refuses them
+    with pytest.raises(ValueError, match="t_0 must be 0, got 0.1"):
+        TemporalMesh([0.1, 0.5, 1.0])
+    with pytest.raises(ValueError, match="strictly increasing, got t_2 = 0.5 after t_1 = 0.6"):
+        TemporalMesh([0.0, 0.6, 0.5, 1.0])
+    with pytest.raises(ValueError, match="at least two, got shape \\(1,\\)"):
+        TemporalMesh([0.0])
+    with pytest.raises(ValueError, match="at least two, got shape \\(2, 2\\)"):
+        TemporalMesh([[0.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="gamma must be >= 1, got 0.5"):
+        TemporalMesh([0.0, 0.5, 1.0], gamma=0.5)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"levels must be finite, got {bad}"):
-            build_mesh_from_levels([0.0, 0.5, bad])
+            TemporalMesh([0.0, 0.5, bad])
     with pytest.raises(ValueError, match="levels must be finite, got inf"):
-        build_mesh_from_levels([0.0, math.inf, math.inf])  # inf - inf would warn
-
-
-def test_temporal_mesh_shape_validation():
-    # a ValueError, not an assert, so python -O still refuses it
-    t = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(ValueError, match="TemporalMesh"):
-        TemporalMesh(T=1.0, N=4, gamma=1.0, k_base=0.25, t=t, k=np.array([0.5]))
-    with pytest.raises(ValueError, match="TemporalMesh"):
-        TemporalMesh(T=1.0, N=2, gamma=1.0, k_base=0.5, t=t, k=np.array([0.5]))
+        TemporalMesh([0.0, math.inf, math.inf])  # inf - inf would warn
 
 
 def test_spatial_grid_nodes():
@@ -151,3 +146,9 @@ def test_mesh_is_annotated_with_its_parameters():
     assert mesh.N == 10
     assert mesh.gamma == 1.5
     assert abs(mesh.k_base - 2.0 ** (1 / 1.5) / 10) <= 1e-15
+    assert np.array_equal(mesh.k, np.diff(mesh.t))
+    # a hand-built mesh derives the same fields from its levels
+    hand = TemporalMesh([0.0, 0.5, 0.6, 1.5], gamma=2.0)
+    assert (hand.N, hand.T, hand.gamma) == (3, 1.5, 2.0)
+    assert hand.k_base == 1.5**0.5 / 3
+    assert np.array_equal(hand.k, np.diff(hand.t))

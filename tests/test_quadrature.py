@@ -6,7 +6,7 @@ from math import gamma
 import numpy as np
 import pytest
 
-from memburgers.mesh import build_graded_mesh, build_mesh_from_levels
+from memburgers.mesh import TemporalMesh, build_graded_mesh
 from memburgers.quadrature import compute_weights
 
 from oracles import weight_by_quadrature
@@ -16,7 +16,7 @@ W11_UNIT_HALF = 0.752252778063675
 
 
 def test_single_unit_step_weight():
-    mesh = build_mesh_from_levels([0.0, 1.0])
+    mesh = TemporalMesh([0.0, 1.0])
     w = compute_weights(mesh, 0.5)
     assert abs(w[1, 1] - W11_UNIT_HALF) <= 1e-12
     assert abs(w[1, 1] - 1.0 / gamma(2.5)) <= 1e-15

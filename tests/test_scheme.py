@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from memburgers import scheme
-from memburgers.mesh import build_graded_mesh, build_mesh_from_levels, build_spatial_grid
+from memburgers.mesh import TemporalMesh, build_graded_mesh, build_spatial_grid
 from memburgers.problems import (
     ManufacturedProblem,
     SeparableForcing,
@@ -286,7 +286,7 @@ def test_solve_is_deterministic():
 
 def test_single_step_mesh():
     problem = example1(0.5)
-    mesh = build_mesh_from_levels([0.0, 1.0])
+    mesh = TemporalMesh([0.0, 1.0])
     grid = build_spatial_grid(1.0, 8)
     result = solve(problem, mesh, grid, 0.5, SchemeConfig(), keep_trajectory=True)
     assert len(result.reports) == 1
