@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, TextIO, Tuple, Union
 import numpy as np
 
 from .gridops import GridFunction, norm_l2
-from .mesh import build_graded_mesh, build_spatial_grid
+from .mesh import build_graded_mesh, build_spatial_grid, whole_count
 from .problems import ManufacturedProblem, problem_by_name
 from .scheme import SchemeConfig, solve
 
@@ -96,6 +96,8 @@ class StudyPlan:
 
     def __post_init__(self) -> None:
         SchemeConfig(eps=self.eps, max_steps=self.max_steps, f_mode=self.f_mode)  # checks them
+        for name in ("base_n", "base_j", "levels"):
+            whole_count("StudyPlan", name, getattr(self, name))
         if self.axis not in ("time", "space"):
             raise ValueError(f"StudyPlan: axis must be 'time' or 'space', got {self.axis!r}")
         if self.levels < 1:

@@ -9,6 +9,8 @@ concentrates levels near t = 0 where solutions of the memory problem lose
 regularity, which is what restores second-order time accuracy.
 `build_graded_mesh` builds these levels; `TemporalMesh(levels, gamma)`
 wraps any strictly increasing levels from t_0 = 0, hand-built ones too.
+The uniform grid x_j = j * L / J is fixed by L and J alone, so
+`SpatialGrid(L, J)` derives the spacing h and the nodes x itself.
 
 The convergence theory assumes three structural hypotheses on the mesh:
 
@@ -26,6 +28,7 @@ genuinely fail, and it is checked for every consecutive step pair.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +44,15 @@ __all__ = [
 
 # Slack for sign checks on floating-point step differences.
 _STEP_TOL = 1e-12
+
+
+def whole_count(owner: str, name: str, value) -> int:
+    """value as an int if it is a Python or numpy integer; otherwise a
+    ValueError naming it, so 8.7 is refused rather than truncated to 8."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{owner}: {name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,12 +97,26 @@ class TemporalMesh:
 
 @dataclass(frozen=True, eq=False)
 class SpatialGrid:
-    """Uniform grid x_j = j*h, j = 0..J, on [0, L] with h = L/J."""
+    """Uniform grid x_j = j*h, j = 0..J, on [0, L]; h = L/J and x are derived from L and J."""
 
     L: float
     J: int
-    h: float
-    x: np.ndarray  # shape (J+1,)
+    h: float = field(init=False)
+    x: np.ndarray = field(init=False)  # shape (J+1,)
+
+    def __post_init__(self) -> None:
+        L = float(self.L)
+        J = whole_count("SpatialGrid", "J", self.J)
+        if not 0.0 < L < math.inf:
+            raise ValueError(f"SpatialGrid: L must be positive and finite, got {L}")
+        if J < 2:
+            raise ValueError(f"SpatialGrid: J must be >= 2, got {J}")
+        h = L / J
+        if not (h * h > 0.0 and math.isfinite(1.0 / (h * h))):  # the scheme divides by h^2
+            raise ValueError(f"SpatialGrid: 1/h^2 is not finite for h = L/J = {L!r}/{J} = {h!r}")
+        # linspace pins both endpoints exactly and is uniform to roundoff
+        for name, value in dict(L=L, J=J, h=h, x=np.linspace(0.0, L, J + 1)).items():
+            object.__setattr__(self, name, value)  # frozen, so set through object
 
 
 @dataclass(frozen=True)
@@ -118,13 +144,13 @@ class MeshHypothesesReport:
 def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
     """Build the graded mesh t_n = (n * k_base)**gamma on [0, T].
 
-    Requires a finite T > 0, N >= 1, gamma >= 1.  Levels are computed by direct
-    exponentiation (not step accumulation) and the endpoints are pinned to
-    0 and T exactly.
+    Requires a finite T > 0, an integer N >= 1 and gamma >= 1.  Levels are
+    computed by direct exponentiation (not step accumulation) and the
+    endpoints are pinned to 0 and T exactly.
     """
     T = float(T)
     gamma = float(gamma)
-    N = int(N)
+    N = whole_count("build_graded_mesh", "N", N)
     if not 0.0 < T < math.inf:
         raise ValueError(f"build_graded_mesh: T must be positive and finite, got {T}")
     if N < 1:
@@ -139,19 +165,8 @@ def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
 
 
 def build_spatial_grid(L: float, J: int) -> SpatialGrid:
-    """Uniform grid on [0, L] (L finite) with J intervals (J >= 2) and a finite 1/h^2."""
-    L = float(L)
-    J = int(J)
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"build_spatial_grid: L must be positive and finite, got {L}")
-    if J < 2:
-        raise ValueError(f"build_spatial_grid: J must be >= 2, got {J}")
-    h = L / J
-    if not (h * h > 0.0 and math.isfinite(1.0 / (h * h))):  # the scheme divides by h^2
-        raise ValueError(f"build_spatial_grid: 1/h^2 is not finite for h = L/J = {L!r}/{J} = {h!r}")
-    # linspace pins both endpoints exactly and is uniform to roundoff
-    x = np.linspace(0.0, L, J + 1)
-    return SpatialGrid(L=L, J=J, h=h, x=x)
+    """Uniform grid on [0, L] with J intervals; see SpatialGrid."""
+    return SpatialGrid(L, J)
 
 
 def check_mesh_hypotheses(mesh: TemporalMesh) -> MeshHypothesesReport:

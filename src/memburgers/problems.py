@@ -1,6 +1,6 @@
 """Manufactured problems for the memory equation
 
-    u_t + u u_x - I^alpha(u_xx) = f,   u(0,t) = u(L,t) = 0,   u(x,0) = u_0(x),
+    u_t + u u_x - I^alpha(u_xx) = f,   u(0,t) = u(L,t) = 0,   u(x,0) = exact(x,0),
 
 on [0, 1] x (0, T].  Forcings are stored symbolically as sums of separable
 terms c_i * g_i(x) * t**p_i with p_i > -1, so the per-step source is
@@ -109,11 +109,10 @@ class SeparableForcing:
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """Exact solution, initial data, forcing, and regularity metadata."""
+    """Exact solution, forcing, and regularity metadata; the initial data are exact(x, 0)."""
 
     name: str
     alpha: float
-    u0: Callable
     exact: Callable  # exact(x, t)
     forcing: SeparableForcing
     sigma: Mapping[str, float] = field(default_factory=dict)
@@ -161,7 +160,6 @@ def example1(alpha: float) -> ManufacturedProblem:
     return ManufacturedProblem(
         name="example1",
         alpha=alpha,
-        u0=sin_pi,
         exact=exact,
         forcing=SeparableForcing(terms),
         sigma={
@@ -196,13 +194,9 @@ def example2(alpha: float) -> ManufacturedProblem:
         x = np.asarray(x, dtype=float)
         return float(t) ** alpha / g1 * np.sin(_PI * x)
 
-    def u0(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     return ManufacturedProblem(
         name="example2",
         alpha=alpha,
-        u0=u0,
         exact=exact,
         forcing=SeparableForcing(terms),
         sigma={"interval_average": 1.0 + alpha},

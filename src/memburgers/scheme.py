@@ -2,7 +2,7 @@
 
 One solve advances
 
-    u_t + u u_x - I^alpha(u_xx) = f,   u(0,t) = u(L,t) = 0,   u(.,0) = u_0,
+    u_t + u u_x - I^alpha(u_xx) = f,   u(0,t) = u(L,t) = 0,   u(.,0) = exact(.,0),
 
 through the levels of a graded mesh.  The memory integral is replaced by
 the product-integration rule (see quadrature), the convection term by the
@@ -219,7 +219,7 @@ def solve(
     *,
     keep_trajectory: bool = False,
 ) -> SolveResult:
-    """Run all N steps; returns the final level and per-step reports.
+    """Run all N steps from U^0 = exact(x, 0); returns the final level and per-step reports.
 
     NonconvergenceError propagates with the failing step attached.  A grid on
     which the exact u(L, t) is nonzero at t = 0 or t = T is refused up front.
@@ -228,8 +228,8 @@ def solve(
         raise ValueError(
             f"solve: alpha {alpha} does not match problem alpha {problem.alpha}"
         )
-    for t in (0.0, mesh.T):
-        u = np.asarray(problem.exact(grid.x, t), dtype=float)
+    exact = {t: np.asarray(problem.exact(grid.x, t), dtype=float) for t in (0.0, mesh.T)}
+    for t, u in exact.items():
         if abs(u[-1]) > _BOUNDARY_TOL * max(1.0, float(np.max(np.abs(u)))):
             raise ValueError(
                 f"solve: {problem.name} does not vanish at x = L = {grid.L} "
@@ -237,8 +237,8 @@ def solve(
             )
     w = compute_weights(mesh, alpha)
     h = grid.h
-    u_prev = np.zeros(grid.J + 1)
-    u_prev[1:-1] = np.asarray(problem.u0(grid.x[1:-1]), dtype=float)
+    u_prev = exact[0.0] + 0.0  # U^0; adding 0.0 turns -0.0 into 0.0
+    u_prev[[0, -1]] = 0.0
     u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     d = np.zeros((mesh.N + 1, grid.J + 1))  # row s: d2 of the unknown of step s

@@ -196,11 +196,15 @@ def pde_residual(problem, x: float, t: float, alpha: float) -> float:
     return float(u_t) + u * float(u_x) - mem - f
 
 
-def _root_found(sol) -> bool:
-    """hybr's own test bounds the step, not the residual: with one unknown it
+def _require_root(sol, step: int) -> None:
+    """Raise unless the root find of a step succeeded.
+
+    hybr's own test bounds the step, not the residual: with one unknown it
     can stop "not making good progress" at a root whose residual is already
-    at rounding level (4.4e-16 seen).  Such a root counts as found."""
-    return bool(sol.success) or float(np.max(np.abs(sol.fun))) <= 1e-12
+    at rounding level (4.4e-16 seen).  Such a root counts as found.  This
+    raises rather than asserts, so python -O keeps the check."""
+    if not (sol.success or float(np.max(np.abs(sol.fun))) <= 1e-12):
+        raise RuntimeError(f"oracle root find failed at step {step}: {sol.message}")
 
 
 def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
@@ -230,8 +234,8 @@ def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
             out[j] = (v[j + 1] - 2.0 * v[j] + v[j - 1]) / (h * h)
         return out
 
-    u0 = np.zeros(J + 1)
-    u0[1:-1] = problem.u0(grid.x[1:-1])
+    u0 = problem.exact(grid.x, 0.0) + 0.0  # the initial data, as solve takes them
+    u0[[0, -1]] = 0.0
     levels = [u0]
     d_store = {}
     u_prev = u0
@@ -247,7 +251,7 @@ def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
                 return r[1:-1]
 
             sol = root(residual, u0[1:-1], method="hybr", tol=1e-13)
-            assert _root_found(sol), f"oracle root find failed at step 1: {sol.message}"
+            _require_root(sol, 1)
             u1 = np.zeros(J + 1)
             u1[1:-1] = sol.x
             d_store[1] = d2(u1)
@@ -271,7 +275,7 @@ def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
                 return r[1:-1]
 
             sol = root(residual, u_prev[1:-1], method="hybr", tol=1e-13)
-            assert _root_found(sol), f"oracle root find failed at step {n}: {sol.message}"
+            _require_root(sol, n)
             v = np.zeros(J + 1)
             v[1:-1] = sol.x
             d_store[n] = d2(v)

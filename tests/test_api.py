@@ -65,8 +65,9 @@ def test_package_modules_use_every_import():
 
 
 def test_package_modules_have_no_assert():
-    # python -O strips assert statements, so checks must raise instead
-    for path in sorted(PACKAGE.glob("*.py")):
+    # python -O strips assert statements, so checks must raise instead; the
+    # test oracles count too, since a dropped check there passes silently
+    for path in sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "oracles.py"]:
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import memburgers
+from memburgers import scheme
 from memburgers.cli import build_parser, main
 from memburgers.harness import CSV_HEADER, StudyPlan
 from memburgers.scheme import SchemeConfig
@@ -266,7 +267,7 @@ def test_underflowing_grid_spacing_exits_2(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error_l2=" not in captured.out
-    assert "build_spatial_grid: 1/h^2 is not finite" in captured.err
+    assert "SpatialGrid: 1/h^2 is not finite" in captured.err
     assert "L/J = 1e-300/4" in captured.err
 
 
@@ -312,6 +313,27 @@ def test_nonconvergence_exits_1(capsys):
     err = capsys.readouterr().err
     assert "solver failed" in err
     assert "step 1" in err
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    # N = 100000 would ask for a 74.5 GiB weight table; the refused
+    # allocation is simulated, never made
+    def refuse(mesh, alpha):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          f"({mesh.N + 1}, {mesh.N + 1}) and data type float64")
+
+    monkeypatch.setattr(scheme, "compute_weights", refuse)
+    code = main(
+        ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1",
+         "--N", "100000", "--J", "4"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "memburgers: out of memory: Unable to allocate 74.5 GiB for an array with "
+        "shape (100001, 100001) and data type float64\n"
+    )
 
 
 def test_check_mesh_reports_hypotheses(capsys):

@@ -117,6 +117,11 @@ def test_study_plan_validation():
         StudyPlan(**{**ok, "eps": math.inf})
     with pytest.raises(ValueError, match="max_steps must be >= 1"):
         StudyPlan(**{**ok, "max_steps": 0})
+    # counts that are not integers are refused, not run at truncated values
+    for name, bad in (("base_n", 4.5), ("base_j", 8.5), ("levels", 2.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            StudyPlan(**{**ok, name: bad})
+    StudyPlan(**{**ok, "base_n": np.int64(2), "base_j": np.int32(4), "levels": np.int64(2)})
 
 
 def test_run_study_block_structure():

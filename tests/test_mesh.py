@@ -1,11 +1,14 @@
 """Temporal mesh construction and grading-hypothesis diagnostics."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from memburgers.mesh import (
+    SpatialGrid,
     TemporalMesh,
     build_graded_mesh,
     build_spatial_grid,
@@ -95,6 +98,11 @@ def test_graded_mesh_validation():
     for T in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"T must be positive and finite, got {T}"):
             build_graded_mesh(T, 8, 1.0)
+    # a count that is not an integer is refused, not truncated
+    for N in (2.5, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match=re.escape(f"N must be an integer, got {N!r}")):
+            build_graded_mesh(1.0, N, 1.0)
+    assert build_graded_mesh(1.0, np.int64(2), 1.0).N == 2
 
 
 def test_levels_validation():
@@ -127,17 +135,35 @@ def test_spatial_grid_nodes():
 
 
 def test_spatial_grid_validation():
-    with pytest.raises(ValueError):
-        build_spatial_grid(0.0, 4)
-    with pytest.raises(ValueError):
-        build_spatial_grid(1.0, 1)
-    for L in (math.inf, math.nan):
-        with pytest.raises(ValueError, match=f"L must be positive and finite, got {L}"):
-            build_spatial_grid(L, 4)
-    # h^2 underflows to 0, or 1/h^2 overflows: the scheme could not divide by it
-    for L in (1e-300, 1e-160):
-        with pytest.raises(ValueError, match="1/h\\^2 is not finite"):
-            build_spatial_grid(L, 4)
+    # the class checks its own fields; build_spatial_grid only calls it
+    for make in (SpatialGrid, build_spatial_grid):
+        with pytest.raises(ValueError, match="L must be positive and finite, got 0.0"):
+            make(0.0, 4)
+        with pytest.raises(ValueError, match="J must be >= 2, got 1"):
+            make(1.0, 1)
+        for L in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"L must be positive and finite, got {L}"):
+                make(L, 4)
+        # h^2 underflows to 0, or 1/h^2 overflows: the scheme could not divide by it
+        for L in (1e-300, 1e-160):
+            with pytest.raises(ValueError, match="SpatialGrid: 1/h\\^2 is not finite"):
+                make(L, 4)
+        # a count that is not an integer is refused, not truncated to 8
+        for J in (8.7, np.float64(8.0)):
+            with pytest.raises(ValueError, match=re.escape(f"J must be an integer, got {J!r}")):
+                make(1.0, J)
+        assert make(1.0, np.int64(8)).J == 8
+
+
+def test_spatial_grid_derives_spacing_and_nodes():
+    assert [f.name for f in dataclasses.fields(SpatialGrid) if f.init] == ["L", "J"]
+    # h and x can no longer be passed, so they cannot disagree with L and J
+    with pytest.raises(TypeError):
+        SpatialGrid(L=1.0, J=8, h=0.5, x=np.linspace(0, 1, 9))
+    grid = SpatialGrid(1.0, 8)
+    built = build_spatial_grid(1.0, 8)
+    assert grid.h == built.h == 1.0 / 8
+    assert grid.x.tobytes() == built.x.tobytes() == np.linspace(0.0, 1.0, 9).tobytes()
 
 
 def test_mesh_is_annotated_with_its_parameters():

@@ -32,7 +32,6 @@ def _zero_problem(alpha=0.5):
     return ManufacturedProblem(
         name="zero",
         alpha=alpha,
-        u0=lambda x: np.zeros_like(x),
         exact=lambda x, t: np.zeros_like(x),
         forcing=SeparableForcing(terms=()),
         sigma={},
@@ -307,6 +306,21 @@ def _assert_trajectory_shape(result, problem):
     grid = result.grid
     assert result.trajectory.shape == (result.mesh.N + 1, grid.J + 1)
     assert np.array_equal(result.trajectory[-1], result.final.values)
-    u0 = np.zeros(grid.J + 1)
-    u0[1:-1] = problem.u0(grid.x[1:-1])
+    # row 0 is the exact solution at t = 0 with zero end values
+    u0 = problem.exact(grid.x, 0.0)
+    u0[[0, -1]] = 0.0
     assert np.array_equal(result.trajectory[0], u0)
+
+
+def test_initial_level_has_no_negative_zero():
+    # on [0, 2] example 2's exact(x, 0) = 0 * sin(pi x) is -0.0 where the
+    # sine is negative; U^0 must hold +0.0 there, or trajectory dumps print -0.0
+    problem = example2(0.5)
+    grid = build_spatial_grid(2.0, 16)
+    assert np.any(np.signbit(problem.exact(grid.x, 0.0)))
+    mesh = build_graded_mesh(1.0, 4, 1.0)
+    config = SchemeConfig(f_mode="interval_average")
+    result = solve(problem, mesh, grid, 0.5, config, keep_trajectory=True)
+    row0 = result.trajectory[0]
+    assert np.array_equal(row0, np.zeros(grid.J + 1))
+    assert not np.any(np.signbit(row0))
