@@ -17,8 +17,8 @@ like the flag, explicit flags override the file, and a key the subcommand
 does not take is refused; each subcommand takes only the flags it reads.
 `--help` shows the required flags without brackets in its usage line.
 Exit status is 0 on success and nonzero with a diagnostic on failure
-(nonconvergence, invalid parameters, unwritable output path, a problem
-too large for memory).
+(nonconvergence, invalid parameters, unwritable output path, a numeric
+overflow, a problem too large for memory).
 """
 
 from __future__ import annotations
@@ -247,6 +247,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"memburgers: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"memburgers: numeric overflow: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"memburgers: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)

@@ -201,9 +201,9 @@ def run_study(plan: StudyPlan) -> List[ConvergenceRow]:
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
+    """Shortest round-trip decimal for real floats, numpy's too; plain str otherwise."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -221,7 +221,7 @@ def dump_weights_csv(w: np.ndarray, stream: TextIO) -> None:
     writer = csv.writer(stream)
     writer.writerow(["n", "s", "weight"])
     writer.writerows(
-        [n, s, _fmt(float(w[n, s]))] for n in range(1, w.shape[0]) for s in range(1, n + 1)
+        [n, s, _fmt(w[n, s])] for n in range(1, w.shape[0]) for s in range(1, n + 1)
     )
 
 
@@ -234,4 +234,4 @@ def dump_trajectory_csv(result, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "t"] + [f"u_{j}" for j in range(J + 1)])
         for n, u in enumerate(result.trajectory):
-            writer.writerow([n, _fmt(float(result.mesh.t[n]))] + [_fmt(float(v)) for v in u])
+            writer.writerow([n, _fmt(result.mesh.t[n])] + [_fmt(v) for v in u])

@@ -2,7 +2,9 @@
 
     u_t + u u_x - I^alpha(u_xx) = f,   u(0,t) = u(L,t) = 0,   u(x,0) = exact(x,0),
 
-on [0, 1] x (0, T].  Forcings are stored symbolically as sums of separable
+on [0, 1] x (0, T].  Each built-in problem states only its exact solution
+as sine modes (c, p, k), u = sum c t**p sin(k pi x).  exact(x, t) and the
+forcing are derived from the modes, the forcing as a sum of separable
 terms c_i * g_i(x) * t**p_i with p_i > -1, so the per-step source is
 
     f^{n-1/2} = sum_i c_i tau_i(n) g_i,
@@ -58,33 +60,6 @@ F_MODES = ("midpoint", "endpoint_average", "interval_average")
 _PI = math.pi
 
 
-# -- spatial profiles (closed set; every profile vanishes at x = 0 and x = 1) --
-
-
-def sin_pi(x):
-    return np.sin(_PI * x)
-
-
-def sin_2pi(x):
-    return np.sin(2.0 * _PI * x)
-
-
-def sin_pi_cos_pi(x):
-    return np.sin(_PI * x) * np.cos(_PI * x)
-
-
-def sin_pi_cos_2pi(x):
-    return np.sin(_PI * x) * np.cos(2.0 * _PI * x)
-
-
-def sin_2pi_cos_pi(x):
-    return np.sin(2.0 * _PI * x) * np.cos(_PI * x)
-
-
-def sin_2pi_cos_2pi(x):
-    return np.sin(2.0 * _PI * x) * np.cos(2.0 * _PI * x)
-
-
 @dataclass(frozen=True)
 class ForcingTerm:
     """One separable term coefficient * profile(x) * t**exponent."""
@@ -129,77 +104,66 @@ class ManufacturedProblem:
             ) from None
 
 
-def example1(alpha: float) -> ManufacturedProblem:
-    """Solution sin(pi x) - t**(alpha+1)/Gamma(alpha+2) * sin(2 pi x).
+def _sine(k: int) -> Callable:
+    return lambda x: np.sin(k * _PI * x)
 
-    The forcing u_t + u u_x - I^alpha(u_xx) expands into seven separable
-    terms with exponents {0, alpha, alpha+1, 2 alpha+1, 2 alpha+2}; the
-    memory integral of t**(alpha+1) contributes the Gamma(2 alpha+2) mode.
+
+def _sine_cosine(k: int, l: int) -> Callable:
+    return lambda x: np.sin(k * _PI * x) * np.cos(l * _PI * x)
+
+
+def _manufactured(name: str, alpha: float, modes: Callable, sigma: Callable) -> ManufacturedProblem:
+    """The problem u = sum of c t**p sin(k pi x) over modes(alpha), regularity map sigma(alpha).
+
+    The forcing u_t + u u_x - I^alpha(u_xx) is derived term by term, using
+    I^alpha(t**p) = Gamma(p+1)/Gamma(p+alpha+1) t**(p+alpha); u u_x gives
+    c d l pi t**(p+q) sin(k pi x) cos(l pi x) per ordered pair of modes (c, p, k), (d, q, l).
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"example1: alpha must be in (0, 1), got {alpha}")
-    g1 = math.gamma(alpha + 1.0)
-    g2 = math.gamma(alpha + 2.0)
-    g22 = math.gamma(2.0 * alpha + 2.0)
-
-    terms = (
-        ForcingTerm(sin_pi, alpha, _PI**2 / g1),
-        ForcingTerm(sin_2pi, 2.0 * alpha + 1.0, -4.0 * _PI**2 / g22),
-        ForcingTerm(sin_2pi, alpha, -1.0 / g1),
-        ForcingTerm(sin_pi_cos_pi, 0.0, _PI),
-        ForcingTerm(sin_pi_cos_2pi, alpha + 1.0, -2.0 * _PI / g2),
-        ForcingTerm(sin_2pi_cos_pi, alpha + 1.0, -_PI / g2),
-        ForcingTerm(sin_2pi_cos_2pi, 2.0 * alpha + 2.0, 2.0 * _PI / g2**2),
-    )
+        raise ValueError(f"{name}: alpha must be in (0, 1), got {alpha}")
+    modes = modes(alpha)
+    terms = [  # -I^alpha(u_xx), then u_t, then u u_x
+        ForcingTerm(_sine(k), p + alpha,
+                    (k * _PI) ** 2 * c * math.gamma(p + 1.0) / math.gamma(p + alpha + 1.0))
+        for c, p, k in modes
+    ]
+    terms += [ForcingTerm(_sine(k), p - 1.0, c * p) for c, p, k in modes if p != 0.0]
+    terms += [
+        ForcingTerm(_sine_cosine(k, l), p + q, c * d * l * _PI)
+        for c, p, k in modes
+        for d, q, l in modes
+    ]
 
     def exact(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.sin(_PI * x) - float(t) ** (alpha + 1.0) / g2 * np.sin(2.0 * _PI * x)
+        return sum(c * float(t) ** p * np.sin(k * _PI * x) for c, p, k in modes)
 
-    return ManufacturedProblem(
-        name="example1",
-        alpha=alpha,
-        exact=exact,
-        forcing=SeparableForcing(terms),
-        sigma={
-            "midpoint": alpha + 1.0,
-            "endpoint_average": alpha + 1.0,
-            "interval_average": alpha + 2.0,
-        },
+    return ManufacturedProblem(name, alpha, exact, SeparableForcing(tuple(terms)), sigma(alpha))
+
+
+def example1(alpha: float) -> ManufacturedProblem:
+    """Solution sin(pi x) - t**(alpha+1)/Gamma(alpha+2) * sin(2 pi x).
+
+    Its two modes give seven forcing terms with exponents {0, alpha,
+    alpha+1, 2 alpha+1, 2 alpha+2}.
+    """
+    return _manufactured(
+        "example1", alpha,
+        lambda a: ((1.0, 0.0, 1), (-1.0 / math.gamma(a + 2.0), a + 1.0, 2)),
+        lambda a: {"midpoint": a + 1.0, "endpoint_average": a + 1.0, "interval_average": a + 2.0},
     )
 
 
 def example2(alpha: float) -> ManufacturedProblem:
     """Solution t**alpha/Gamma(alpha+1) * sin(pi x), zero initial data.
 
-    The forcing carries a weakly singular t**(alpha-1) term (from u_t), so
-    only the interval-averaged f mode has an order statement; pointwise
-    endpoint averaging is undefined at t = 0.
+    Its one mode gives three forcing terms, among them the weakly singular
+    t**(alpha-1) of u_t, so endpoint averaging is undefined at t = 0.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"example2: alpha must be in (0, 1), got {alpha}")
-    ga = math.gamma(alpha)
-    g1 = math.gamma(alpha + 1.0)
-    g21 = math.gamma(2.0 * alpha + 1.0)
-
-    terms = (
-        ForcingTerm(sin_pi, 2.0 * alpha, _PI**2 / g21),
-        ForcingTerm(sin_pi, alpha - 1.0, 1.0 / ga),
-        ForcingTerm(sin_2pi, 2.0 * alpha, _PI / (2.0 * g1**2)),
-    )
-
-    def exact(x, t):
-        x = np.asarray(x, dtype=float)
-        return float(t) ** alpha / g1 * np.sin(_PI * x)
-
-    return ManufacturedProblem(
-        name="example2",
-        alpha=alpha,
-        exact=exact,
-        forcing=SeparableForcing(terms),
-        sigma={"interval_average": 1.0 + alpha},
+    return _manufactured(
+        "example2", alpha,
+        lambda a: ((1.0 / math.gamma(a + 1.0), a, 1),),
+        lambda a: {"interval_average": 1.0 + a},
     )
 
 

@@ -53,7 +53,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .gridops import GridFunction, convection_values, norm_l2, second_diff_values
-from .mesh import SpatialGrid, TemporalMesh
+from .mesh import SpatialGrid, TemporalMesh, whole_count
 from .problems import F_MODES, ManufacturedProblem, f_half
 from .quadrature import compute_weights
 
@@ -73,7 +73,8 @@ _BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L,
 
 
 class NonconvergenceError(RuntimeError):
-    """Fixed-point iteration failed to meet eps within max_steps passes."""
+    """Fixed-point iteration failed to meet eps within max_steps passes, or its
+    increment stopped being finite."""
 
     def __init__(self, step: int, iterations: int, increment: float):
         self.step = step
@@ -106,7 +107,7 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"SchemeConfig: eps must be positive and finite, got {self.eps}")
-        if self.max_steps < 1:
+        if whole_count("SchemeConfig", "max_steps", self.max_steps) < 1:
             raise ValueError(f"SchemeConfig: max_steps must be >= 1, got {self.max_steps}")
         if self.f_mode not in F_MODES:
             raise ValueError(f"SchemeConfig: unknown f mode {self.f_mode!r}")
@@ -187,7 +188,8 @@ def _picard(
 
     Each pass solves A V = rhs_base - N(V_prev) at the interior nodes, A
     given by its factor.
-    Returns (V, passes, final increment norm).
+    Returns (V, passes, final increment norm); a non-finite increment raises
+    NonconvergenceError at once.
     """
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
@@ -197,6 +199,8 @@ def _picard(
         v = v_new
         if increment < config.eps:
             return v, passes, increment
+        if not math.isfinite(increment):
+            raise NonconvergenceError(step=step, iterations=passes, increment=increment)
     raise NonconvergenceError(step=step, iterations=config.max_steps, increment=increment)
 
 

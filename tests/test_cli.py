@@ -296,6 +296,20 @@ def test_non_finite_length_or_final_time_exits_2(capsys, flag):
     assert f"{flag[2:]} must be positive and finite, got inf" in captured.err
 
 
+def test_overflowing_final_time_exits_2(capsys):
+    # exact(x, T) takes T**(alpha+1), which overflows a float at T = 1e300
+    code = main(
+        ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1.5",
+         "--N", "8", "--J", "16", "--T", "1e300"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "memburgers: numeric overflow: (34, 'Numerical result out of range')\n"
+    )
+
+
 def test_malformed_config_line_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("example 1\n")

@@ -205,6 +205,21 @@ def test_emit_csv_round_trip(tmp_path):
     assert parsed[0]["f_mode"] == "endpoint_average"
 
 
+def test_emit_csv_writes_numpy_floats_as_numbers(tmp_path):
+    # alphas taken from a numpy array are np.float64; the CSV must hold 0.5,
+    # not np.float64(0.5), so float() can read it back
+    plan = StudyPlan(
+        problem="example1", alphas=tuple(np.array([0.5])), gamma_rule=1.0, axis="time",
+        base_n=2, base_j=4, levels=1,
+    )
+    path = tmp_path / "numpy.csv"
+    emit_csv(run_study(plan), str(path))
+    with open(path, newline="") as fh:
+        parsed = list(csv.DictReader(fh))
+    assert float(parsed[0]["alpha"]) == 0.5
+    assert parsed[0]["N"] == "2"
+
+
 def test_run_study_writes_out_file(tmp_path):
     path = tmp_path / "auto.csv"
     plan = StudyPlan(

@@ -83,8 +83,10 @@ def test_scheme_config_validation():
     for eps in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             SchemeConfig(eps=eps)
-    with pytest.raises(ValueError):
-        SchemeConfig(max_steps=0)
+    for max_steps in (0, 2.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match="max_steps"):
+            SchemeConfig(max_steps=max_steps)
+    assert SchemeConfig(max_steps=np.int64(3)).max_steps == 3
     with pytest.raises(ValueError):
         SchemeConfig(f_mode="trapezoid")
 
@@ -134,6 +136,18 @@ def test_nonconvergence_reports_failing_step():
     assert info.value.step == 1
     assert info.value.iterations == 1
     assert info.value.increment > 0.0
+
+
+def test_non_finite_increment_stops_at_once(monkeypatch):
+    # a NaN convection value poisons the first pass; the loop must not spend
+    # the rest of its budget on NaN before reporting
+    monkeypatch.setattr(scheme, "convection_values", lambda v, h: np.full_like(v, np.nan))
+    mesh = build_graded_mesh(1.0, 4, 1.0)
+    grid = build_spatial_grid(1.0, 8)
+    with pytest.raises(NonconvergenceError, match="step 1: increment nan after 1 passes") as info:
+        solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
+    assert info.value.step == 1
+    assert info.value.iterations == 1
 
 
 def test_stability_margins_nonnegative_across_configs():
@@ -313,9 +327,11 @@ def _assert_trajectory_shape(result, problem):
 
 
 def test_initial_level_has_no_negative_zero():
-    # on [0, 2] example 2's exact(x, 0) = 0 * sin(pi x) is -0.0 where the
-    # sine is negative; U^0 must hold +0.0 there, or trajectory dumps print -0.0
-    problem = example2(0.5)
+    # on [0, 2] this exact(x, 0) = 0 * sin(pi x) is -0.0 where the sine is
+    # negative; U^0 must hold +0.0 there, or trajectory dumps print -0.0
+    problem = dataclasses.replace(
+        example2(0.5), exact=lambda x, t: float(t) ** 0.5 * np.sin(np.pi * x)
+    )
     grid = build_spatial_grid(2.0, 16)
     assert np.any(np.signbit(problem.exact(grid.x, 0.0)))
     mesh = build_graded_mesh(1.0, 4, 1.0)
