@@ -22,6 +22,16 @@ sources f^{n-1/2} of all steps come from one table of time factors and
 one evaluation of each forcing profile, built before the first step (see
 problems.f_half).
 
+The history H_n sums over every earlier step.  It is split a block of
+_BLOCK steps at a time (the lag-sum splitting of Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  When a block [b0, b1)
+starts, its rows of the weight table are built (see quadrature), and the
+far part of the history of all its steps, the terms s < b0, is one matrix
+product written into the rows b0..b1-1 of the d table, which those steps
+fill only when they finish.  Step n then adds its near part, the terms
+b0 <= s < n, and overwrites row n with its own d_n.  Only one block of
+weight rows is alive at a time; the whole (N+1)^2 table is never built.
+
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
 strictly diagonally dominant (hence positive definite) tridiagonal system
@@ -55,7 +65,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .gridops import GridFunction, convection_values, norm_l2, second_diff_values
 from .mesh import SpatialGrid, TemporalMesh, whole_count
 from .problems import F_MODES, ManufacturedProblem, f_half
-from .quadrature import compute_weights
+from .quadrature import _BLOCK, compute_weights
 
 __all__ = [
     "SchemeConfig",
@@ -214,6 +224,14 @@ def _check_stability(bound: float, u_new: np.ndarray, h: float, step: int) -> fl
     return margin
 
 
+def _block_weights(mesh: TemporalMesh, alpha: float, b0: int) -> np.ndarray:
+    """Rows b0..b1-1 of the weight table, b1 = min(b0 + _BLOCK, N + 1), with
+    column s scaled by k_s: row n - b0 holds w_ns k_s, its diagonal w_nn k_n."""
+    wk = compute_weights(mesh, alpha, (b0, min(b0 + _BLOCK, mesh.N + 1)))
+    wk[:, 1:] *= mesh.k[: wk.shape[1] - 1]
+    return wk
+
+
 def solve(
     problem: ManufacturedProblem,
     mesh: TemporalMesh,
@@ -239,13 +257,14 @@ def solve(
                 f"solve: {problem.name} does not vanish at x = L = {grid.L} "
                 f"(u = {u[-1]:.3e} at t = {t}); choose a whole-number L"
             )
-    w = compute_weights(mesh, alpha)
     h = grid.h
     u_prev = exact[0.0] + 0.0  # U^0; adding 0.0 turns -0.0 into 0.0
     u_prev[[0, -1]] = 0.0
     u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
-    d = np.zeros((mesh.N + 1, grid.J + 1))  # row s: d2 of the unknown of step s
+    # row s: d2 of the unknown of step s; rows of steps not yet taken hold their history
+    d = np.zeros((mesh.N + 1, grid.J + 1))
+    b0, wk = 1, _block_weights(mesh, alpha, 1)  # before the forcing: bad weights fail first
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
     trajectory = None
@@ -254,18 +273,21 @@ def solve(
         trajectory[0] = u_prev
     reports = []
     for n in range(1, mesh.N + 1):
+        if n == b0 + len(wk):  # next block: the far history of all its steps in one GEMM
+            b0, wk = n, _block_weights(mesh, alpha, n)
+            np.matmul(wk[:, 1:b0], d[1:b0], out=d[b0 : b0 + len(wk)])
         kn = float(mesh.k[n - 1])
         a = (1.0 if n == 1 else 2.0) / kn
-        c = w[n, n] * kn / (h * h)
+        c = wk[n - b0, n] / (h * h)  # w_nn k_n / h^2
         if not (a > 0.0 and c > 0.0 and a + 2.0 * c < math.inf):
             # a > 0 is exactly the strict diagonal dominance margin of the
             # matrix; dpttrs does not check finiteness, so an infinite
             # diagonal (h^2 underflowing to 0) is refused here
             raise ValueError(f"step {n}: tridiagonal system lost diagonal dominance (c = {c})")
         fh = factors[n - 1] @ profiles
-        history = (w[n, 1:n] * mesh.k[: n - 1]) @ d[1:n]  # H_n; zero at n = 1
+        d[n] += wk[n - b0, b0:n] @ d[b0:n]  # near history: d[n] now holds H_n
         scaled = u_prev[1:-1] / kn if n == 1 else a * u_prev[1:-1]
-        rhs_base = scaled + history[1:-1] + fh[1:-1]
+        rhs_base = scaled + d[n, 1:-1] + fh[1:-1]
 
         try:
             factor = tridiagonal_factor(np.full(grid.J - 1, a + 2.0 * c), np.full(grid.J - 2, -c))

@@ -1,8 +1,10 @@
 """Independent oracle implementations used to pin expected values.
 
-Everything here deliberately avoids the package's own closed forms and
+Everything here deliberately avoids the package's own kernels and
 vectorized assembly: weights come from nested adaptive quadrature of the
-defining double integral, trajectories from dense nonlinear solves with
+defining double integral, or from their closed form evaluated one row at
+a time (the package takes them from a blocked table of powers),
+trajectories from dense nonlinear solves with
 loop-built operators, the PDE residual from finite-difference
 derivatives of the exact solution plus adaptive quadrature of the memory
 integral, and per-step sources from pointwise evaluation of the forcing
@@ -30,7 +32,6 @@ from scipy.integrate import quad
 from scipy.optimize import root
 
 from memburgers.problems import F_MODES
-from memburgers.quadrature import compute_weights
 
 
 def delta_c(v: np.ndarray) -> np.ndarray:
@@ -158,6 +159,28 @@ def weight_by_quadrature(t: np.ndarray, n: int, s: int, alpha: float) -> float:
     return outer / (kn * ks)
 
 
+def weights_row_loop(mesh, alpha: float) -> np.ndarray:
+    """The closed-form weight table built one row at a time, each weight from
+    its own four powers: the (N+1, N+1) table compute_weights returns.
+
+    Raises ValueError at the first row holding a weight that is not positive.
+    """
+    t, k, N = mesh.t, mesh.k, mesh.N
+    a = alpha + 1.0
+    g2 = math.gamma(alpha + 2.0)
+    w = np.zeros((N + 1, N + 1))
+    for n in range(1, N + 1):
+        if n >= 2:
+            s = np.arange(1, n)
+            upper = (t[n] - t[s - 1]) ** a - (t[n] - t[s]) ** a
+            lower = (t[n - 1] - t[s - 1]) ** a - (t[n - 1] - t[s]) ** a
+            w[n, 1:n] = (upper - lower) / (k[n - 1] * k[s - 1] * g2)
+        w[n, n] = k[n - 1] ** (alpha - 1.0) / g2
+        if not np.all(w[n, 1 : n + 1] > 0.0):
+            raise ValueError(f"weights_row_loop: nonpositive weight in row {n}")
+    return w
+
+
 def memory_integral_quadrature(fn, alpha: float, t: float) -> float:
     """Adaptive quadrature of int_0^t (t-z)**(alpha-1)/Gamma(alpha) fn(z) dz."""
     val, _ = quad(fn, 0.0, t, weight="alg", wvar=(0.0, alpha - 1.0), limit=400)
@@ -210,13 +233,14 @@ def _require_root(sol, step: int) -> None:
 def dense_trajectory(problem, mesh, grid, alpha: float, f_mode: str) -> list:
     """Solve every per-step nonlinear system densely and exactly.
 
-    Uses the same weights as the scheme (oracle-checked on their own) and
-    the per-step sources of f_half_reference, but assembles operators with
-    explicit loops, evaluates convection as mean3 * centered difference,
-    and solves each step with a dense hybrid-Powell root find instead of
-    the fixed-point iteration.  Returns the levels [U^0, ..., U^N] as arrays.
+    Uses the closed-form weights of weights_row_loop (oracle-checked on
+    their own), not the package's kernel, and the per-step sources of
+    f_half_reference; assembles operators with explicit loops, evaluates
+    convection as mean3 * centered difference, and solves each step with
+    a dense hybrid-Powell root find instead of the fixed-point iteration.
+    Returns the levels [U^0, ..., U^N] as arrays.
     """
-    w = compute_weights(mesh, alpha)
+    w = weights_row_loop(mesh, alpha)
     J, h = grid.J, grid.h
     k = mesh.k
 

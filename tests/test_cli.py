@@ -330,16 +330,17 @@ def test_nonconvergence_exits_1(capsys):
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):
-    # N = 100000 would ask for a 74.5 GiB weight table; the refused
-    # allocation is simulated, never made
-    def refuse(mesh, alpha):
+    # --N 100000 --J 100000 would ask for a 74.5 GiB d table; the refused
+    # allocation is simulated by the first weight block of a small solve,
+    # never made
+    def refuse(mesh, alpha, rows):
         raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
-                          f"({mesh.N + 1}, {mesh.N + 1}) and data type float64")
+                          "(100001, 100001) and data type float64")
 
     monkeypatch.setattr(scheme, "compute_weights", refuse)
     code = main(
         ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1",
-         "--N", "100000", "--J", "4"]
+         "--N", "8", "--J", "4"]
     )
     captured = capsys.readouterr()
     assert code == 2
@@ -433,6 +434,24 @@ def test_nonpositive_weights_exit_2_under_optimize():
     assert proc.returncode == 2, proc.stderr
     assert "error_l2=" not in proc.stdout
     assert "nonpositive weight" in proc.stderr
+
+
+def test_overflowing_weights_exit_2_with_one_line():
+    # the weight kernel's powers overflow at T = 1e300; the solve must say
+    # so in one line, with no numpy warning before it
+    proc = subprocess.run(
+        [sys.executable, "-m", "memburgers.cli", "solve", "--example", "2",
+         "--alpha", "0.5", "--gamma", "1.5", "--N", "8", "--J", "16", "--T", "1e300",
+         "--f-mode", "interval-average"],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("memburgers: compute_weights: non-finite weight in row 2;")
 
 
 SOLVE_ARGS = ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1.0",

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from memburgers.mesh import TemporalMesh, build_graded_mesh
-from memburgers.quadrature import compute_weights
+from memburgers.quadrature import _BLOCK, compute_weights
 
-from oracles import weight_by_quadrature
+from oracles import weight_by_quadrature, weights_row_loop
 
 # frozen: 1/Gamma(2.5), the single weight of a unit-step mesh at alpha = 0.5
 W11_UNIT_HALF = 0.752252778063675
@@ -128,10 +128,59 @@ def test_history_sum_level_one_uses_only_first_value():
     assert np.allclose(out, w[1, 1] * mesh.k[0] * first, rtol=1e-15)
 
 
+@pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("alpha,grading", [(0.25, 1.6), (0.5, 1.0), (0.9, 2.5), (0.1, 3.0)])
+def test_matches_row_loop_oracle(n_steps, alpha, grading):
+    # the blocked kernel takes each weight as a mixed second difference of
+    # one power table; the oracle evaluates each row from its own powers
+    mesh = build_graded_mesh(1.0, n_steps, grading)
+    w = compute_weights(mesh, alpha)
+    ref = weights_row_loop(mesh, alpha)
+    lower = np.tril(np.ones(ref.shape, dtype=bool))
+    lower[0] = lower[:, 0] = False
+    assert np.all(w[~lower] == 0.0)
+    assert np.max(np.abs(w[lower] - ref[lower]) / ref[lower]) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [(1, 2), (1, _BLOCK + 1), (5, 17), (_BLOCK, _BLOCK + 2), (_BLOCK + 1, 2 * _BLOCK + 1),
+     (3, 3 * _BLOCK + 6), (3 * _BLOCK + 5, 3 * _BLOCK + 6)],
+)
+def test_row_range_is_slice_of_full_table(rows):
+    mesh = build_graded_mesh(2.0, 3 * _BLOCK + 5, 1.7)
+    full = compute_weights(mesh, 0.35)
+    n0, n1 = rows
+    block = compute_weights(mesh, 0.35, rows)
+    assert block.shape == (n1 - n0, n1)
+    assert np.array_equal(block, full[n0:n1, :n1])
+
+
+@pytest.mark.parametrize("rows", [(0, 3), (-1, 2), (1, 7), (3, 3), (4, 2)])
+def test_bad_row_range_raises(rows):
+    mesh = build_graded_mesh(1.0, 5, 1.0)
+    with pytest.raises(ValueError, match="rows must satisfy"):
+        compute_weights(mesh, 0.5, rows)
+
+
 def test_nonpositive_weights_raise_value_error():
-    # strong grading cancels the closed form's nearly equal powers
-    with pytest.raises(ValueError, match="row"):
-        compute_weights(build_graded_mesh(1.0, 512, 6.0), 0.25)
+    # strong grading cancels the closed form's nearly equal powers; the first
+    # bad row is the one named, as in the row-by-row oracle
+    mesh = build_graded_mesh(1.0, 512, 6.0)
+    with pytest.raises(ValueError, match="nonpositive weight in row 189 "):
+        compute_weights(mesh, 0.25)
+    with pytest.raises(ValueError, match="row 189$"):
+        weights_row_loop(mesh, 0.25)
+    with pytest.raises(ValueError, match="nonpositive weight in row 189 "):
+        compute_weights(mesh, 0.25, (129, 257))
+
+
+def test_overflowing_powers_named_without_warnings():
+    # t**(alpha+1) overflows at t ~ 1e300; pytest turns a RuntimeWarning
+    # into an error, so this also checks that none escapes the kernel
+    mesh = build_graded_mesh(1e300, 8, 1.5)
+    with pytest.raises(ValueError, match="non-finite weight in row 2;"):
+        compute_weights(mesh, 0.5)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])

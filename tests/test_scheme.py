@@ -3,6 +3,7 @@ energy margins, and agreement with an independently assembled
 dense-solver oracle."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from memburgers.problems import (
     example1,
     example2,
 )
-from memburgers.quadrature import compute_weights
+from memburgers.quadrature import _BLOCK, compute_weights
 from memburgers.scheme import (
     NonconvergenceError,
     SchemeConfig,
@@ -124,6 +125,36 @@ def test_full_solve_matches_dense_oracle():
         reference = dense_trajectory(problem, mesh, grid, alpha, config.f_mode)
         for level, ref in zip(result.trajectory, reference):
             assert np.max(np.abs(level - ref)) <= 1e-7
+
+
+@pytest.mark.parametrize("n_steps", [_BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_block_boundaries_match_dense_oracle(n_steps):
+    # the history is summed a block of _BLOCK steps at a time (far part by
+    # one GEMM, near part per step); steps on either side of each block
+    # boundary must agree with the oracle, which sums it term by term
+    alpha = 0.4
+    problem = example1(alpha)
+    mesh = build_graded_mesh(1.0, n_steps, 2.0 / (alpha + 1.0))
+    grid = build_spatial_grid(1.0, 4)
+    config = SchemeConfig(eps=1e-12)
+    result = solve(problem, mesh, grid, alpha, config, keep_trajectory=True)
+    reference = np.array(dense_trajectory(problem, mesh, grid, alpha, config.f_mode))
+    assert np.max(np.abs(result.trajectory - reference)) <= 1e-10
+
+
+def test_solve_never_builds_the_full_weight_table():
+    # the weights are built one block of rows at a time; the whole
+    # (N+1)^2 table would be 33.6 MB here
+    n_steps = 2048
+    mesh = build_graded_mesh(1.0, n_steps, 1.0)
+    grid = build_spatial_grid(1.0, 8)
+    tracemalloc.start()
+    try:
+        solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * (n_steps + 1) ** 2 * 8
 
 
 def test_nonconvergence_reports_failing_step():
@@ -240,9 +271,10 @@ def test_stability_check_raises_on_violation():
 def test_infinite_diagonal_raises(monkeypatch):
     # dpttrs does not check finiteness, so a step whose diagonal is
     # infinite must be refused by name before it is factored
-    def infinite_diagonal(mesh, alpha):
-        w = compute_weights(mesh, alpha)
-        w[1, 1] = np.inf
+    def infinite_diagonal(mesh, alpha, rows):
+        w = compute_weights(mesh, alpha, rows)
+        if rows[0] == 1:
+            w[0, 1] = np.inf  # w_11
         return w
 
     monkeypatch.setattr(scheme, "compute_weights", infinite_diagonal)
@@ -255,9 +287,10 @@ def test_infinite_diagonal_raises(monkeypatch):
 def test_lost_diagonal_dominance_raises(monkeypatch):
     # a zero diagonal weight leaves no implicit diffusion; the step must
     # refuse it with a ValueError, which still fires under python -O
-    def zero_diagonal(mesh, alpha):
-        w = compute_weights(mesh, alpha)
-        w[2, 2] = 0.0
+    def zero_diagonal(mesh, alpha, rows):
+        w = compute_weights(mesh, alpha, rows)
+        if rows[0] == 1:
+            w[1, 2] = 0.0  # w_22
         return w
 
     monkeypatch.setattr(scheme, "compute_weights", zero_diagonal)
