@@ -156,8 +156,8 @@ def gamma_from_rule(
             raise ValueError(f"resolve_gamma: unknown rule {rule!r}")
     else:
         value = float(rule)
-        if not value >= 1.0:
-            raise ValueError(f"resolve_gamma: explicit gamma must be >= 1, got {value}")
+        if not 1.0 <= value < math.inf:
+            raise ValueError(f"resolve_gamma: explicit gamma must be finite and >= 1, got {value}")
     return max(1.0, value)
 
 

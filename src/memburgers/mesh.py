@@ -86,8 +86,8 @@ class TemporalMesh:
             n = int(np.argmin(k > 0.0)) + 1
             raise ValueError(f"TemporalMesh: levels must be strictly increasing, "
                              f"got t_{n} = {t[n]} after t_{n - 1} = {t[n - 1]}")
-        if not gamma >= 1.0:
-            raise ValueError(f"TemporalMesh: gamma must be >= 1, got {gamma}")
+        if not 1.0 <= gamma < math.inf:
+            raise ValueError(f"TemporalMesh: gamma must be finite and >= 1, got {gamma}")
         N = t.size - 1
         T = float(t[N])
         derived = dict(t=t, gamma=gamma, N=N, T=T, k=k, k_base=T ** (1.0 / gamma) / N)
@@ -144,7 +144,7 @@ class MeshHypothesesReport:
 def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
     """Build the graded mesh t_n = (n * k_base)**gamma on [0, T].
 
-    Requires a finite T > 0, an integer N >= 1 and gamma >= 1.  Levels are
+    Requires a finite T > 0, an integer N >= 1 and a finite gamma >= 1.  Levels are
     computed by direct exponentiation (not step accumulation) and the
     endpoints are pinned to 0 and T exactly.
     """
@@ -155,8 +155,8 @@ def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
         raise ValueError(f"build_graded_mesh: T must be positive and finite, got {T}")
     if N < 1:
         raise ValueError(f"build_graded_mesh: N must be >= 1, got {N}")
-    if not gamma >= 1.0:
-        raise ValueError(f"build_graded_mesh: gamma must be >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"build_graded_mesh: gamma must be finite and >= 1, got {gamma}")
 
     t = (np.arange(N + 1, dtype=float) * (T ** (1.0 / gamma) / N)) ** gamma
     t[0] = 0.0

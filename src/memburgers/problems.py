@@ -196,24 +196,36 @@ def f_half(
             = (t_n**(p+1) - t_{n-1}**(p+1)) / ((p+1) k_n).
 
     endpoint_average at n = 1 needs f(x, 0), hence all exponents >= 0.
+    A factor that is not finite (levels whose powers overflow) raises
+    ValueError naming the first step and exponent it occurs at.
     """
     if mode not in F_MODES:
         raise ValueError(f"f_half: unknown f mode {mode!r}")
     p = np.array([term.exponent for term in forcing.terms])
     c = np.array([term.coefficient for term in forcing.terms])
+    if mode == "endpoint_average" and np.any(p < 0.0):
+        raise ValueError(
+            "f_half: endpoint_average undefined at t=0 for a singular forcing; "
+            "use interval_average"
+        )
     t0 = mesh.t[:-1, None]
     t1 = mesh.t[1:, None]
-    if mode == "midpoint":
-        tau = (0.5 * (t0 + t1)) ** p
-    elif mode == "endpoint_average":
-        if np.any(p < 0.0):
-            raise ValueError(
-                "f_half: endpoint_average undefined at t=0 for a singular forcing; "
-                "use interval_average"
-            )
-        tau = 0.5 * (t0**p + t1**p)
-    else:  # interval_average
-        tau = (t1 ** (p + 1.0) - t0 ** (p + 1.0)) / ((p + 1.0) * mesh.k[:, None])
+    # huge levels overflow the powers; the check below names the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "midpoint":
+            tau = (0.5 * (t0 + t1)) ** p
+        elif mode == "endpoint_average":
+            tau = 0.5 * (t0**p + t1**p)
+        else:  # interval_average
+            tau = (t1 ** (p + 1.0) - t0 ** (p + 1.0)) / ((p + 1.0) * mesh.k[:, None])
+        factors = c * tau
+    bad = np.argwhere(~np.isfinite(factors))
+    if bad.size:
+        n, i = bad[0]
+        raise ValueError(
+            f"f_half: non-finite source factor at step {n + 1} for the t**{p[i]:g} term; "
+            f"the powers of the mesh levels overflow"
+        )
     profiles = np.array([term.profile(grid.x) for term in forcing.terms])
     # the reshape gives an empty forcing shape (0, J+1), so its sources are zero
-    return c * tau, profiles.reshape(len(forcing.terms), grid.J + 1)
+    return factors, profiles.reshape(len(forcing.terms), grid.J + 1)

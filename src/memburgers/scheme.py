@@ -24,13 +24,15 @@ problems.f_half).
 
 The history H_n sums over every earlier step.  It is split a block of
 _BLOCK steps at a time (the lag-sum splitting of Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  When a block [b0, b1)
-starts, its rows of the weight table are built (see quadrature), and the
-far part of the history of all its steps, the terms s < b0, is one matrix
-product written into the rows b0..b1-1 of the d table, which those steps
-fill only when they finish.  Step n then adds its near part, the terms
-b0 <= s < n, and overwrites row n with its own d_n.  Only one block of
-weight rows is alive at a time; the whole (N+1)^2 table is never built.
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Row s of the d table
+holds k_s d_s, so the weights enter exactly as quadrature returns them.
+When a block [b0, b1) starts, its rows of the weight table are built (see
+quadrature), and the far part of the history of all its steps, the terms
+s < b0, is one matrix product written into the rows b0..b1-1 of the d
+table, which those steps fill only when they finish.  Step n then adds its
+near part, the terms b0 <= s < n, and overwrites row n with its own
+k_n d_n.  Only one block of weight rows is alive at a time; the whole
+(N+1)^2 table is never built.
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
@@ -39,9 +41,11 @@ strictly diagonally dominant (hence positive definite) tridiagonal system
     diag  a + 2c,  off-diagonal  -c,      c = w_nn k_n / h^2,
 
 warm-started from U^{n-1} and stopped when the discrete L2 norm of the
-iterate increment drops below eps.  The matrix is the same for every pass
-of a step, so it is factored once per step (LAPACK dpttrf, L D L^T) and
-each pass is one back substitution (dpttrs).
+iterate increment drops below eps.  _picard owns the step's linear
+system: it checks the dominance, factors the matrix once (LAPACK dpttrf,
+L D L^T), and makes each pass one back substitution through
+tridiagonal_solve (dpttrs), kept as its own function so that a traced run
+can time the per-pass solve.
 
 Every step checks the energy bound
 
@@ -73,8 +77,6 @@ __all__ = [
     "SolveResult",
     "NonconvergenceError",
     "StabilityViolationError",
-    "tridiagonal_factor",
-    "tridiagonal_solve",
     "solve",
 ]
 
@@ -153,41 +155,17 @@ class SolveResult:
         return max(r.iterations for r in self.reports)
 
 
-def tridiagonal_factor(diag, off) -> Tuple[np.ndarray, np.ndarray]:
-    """L D L^T factor of the symmetric tridiagonal matrix with diagonal diag
-    (length m >= 1) and off-diagonal off (length m - 1), by LAPACK dpttrf.
-
-    Raises ValueError unless the matrix is positive definite.
-    """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    if diag.ndim != 1 or off.shape != (diag.size - 1,):  # no shape is (-1,): m = 0 fails
-        raise ValueError(
-            f"tridiagonal_factor: need m >= 1 diagonal and m - 1 off-diagonal "
-            f"entries, got shapes {diag.shape} and {off.shape}"
-        )
-    # the f2py wrapper rejects an empty off-diagonal, which m = 1 has
-    d, e, info = dpttrf(diag, off if off.size else np.zeros(1))
-    if info != 0:
-        raise ValueError(f"tridiagonal_factor: matrix is not positive definite (pivot {info})")
-    return d, e
-
-
-def tridiagonal_solve(factor: Tuple[np.ndarray, np.ndarray], rhs) -> np.ndarray:
-    """Solve with a factor from tridiagonal_factor: one LAPACK dpttrs call."""
-    d, e = factor
-    rhs = np.asarray(rhs, dtype=float)
-    # dpttrs solves only the first m rows of a longer rhs and reports nothing
-    if rhs.shape != d.shape:
-        raise ValueError(f"tridiagonal_solve: rhs shape {rhs.shape}, factor shape {d.shape}")
-    x, info = dpttrs(d, e, rhs)
+def tridiagonal_solve(factor: Tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
+    """One back substitution with the L D L^T factor (d, e) made by _picard (LAPACK dpttrs)."""
+    x, info = dpttrs(*factor, rhs)
     if info != 0:
         raise ValueError(f"tridiagonal_solve: dpttrs rejected argument {-info}")
     return x
 
 
 def _picard(
-    factor: Tuple[np.ndarray, np.ndarray],
+    a: float,
+    c: float,
     rhs_base: np.ndarray,
     v: np.ndarray,
     h: float,
@@ -197,14 +175,25 @@ def _picard(
     """Lagged-convection fixed-point loop for one step, started from v.
 
     Each pass solves A V = rhs_base - N(V_prev) at the interior nodes, A
-    given by its factor.
+    the tridiagonal matrix with diagonal a + 2c and off-diagonal -c; A is
+    checked and factored once, before the first pass.
     Returns (V, passes, final increment norm); a non-finite increment raises
     NonconvergenceError at once.
     """
+    if not (a > 0.0 and c > 0.0 and a + 2.0 * c < math.inf):
+        # a > 0 is exactly the strict diagonal dominance margin of the
+        # matrix; dpttrs does not check finiteness, so an infinite
+        # diagonal (h^2 underflowing to 0) is refused here
+        raise ValueError(f"step {step}: tridiagonal system lost diagonal dominance (c = {c})")
+    m = v.size - 2
+    # the f2py wrapper rejects an empty off-diagonal, which m = 1 has
+    d, e, info = dpttrf(np.full(m, a + 2.0 * c), np.full(max(m - 1, 1), -c))
+    if info != 0:
+        raise ValueError(f"step {step}: tridiagonal matrix is not positive definite (pivot {info})")
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
         v_new = np.zeros_like(v)
-        v_new[1:-1] = tridiagonal_solve(factor, rhs_base - convection_values(v, h)[1:-1])
+        v_new[1:-1] = tridiagonal_solve((d, e), rhs_base - convection_values(v, h)[1:-1])
         increment = norm_l2(v_new - v, h)
         v = v_new
         if increment < config.eps:
@@ -216,20 +205,12 @@ def _picard(
 
 def _check_stability(bound: float, u_new: np.ndarray, h: float, step: int) -> float:
     margin = bound - norm_l2(u_new, h)
-    if margin < -_STABILITY_SLACK:
+    if not margin >= -_STABILITY_SLACK:  # a NaN margin fails too
         raise StabilityViolationError(
             f"energy bound violated at step {step}: ||U^n|| exceeds "
             f"||U^0|| + 2 sum k_l ||f^(l-1/2)|| by {-margin:.3e}"
         )
     return margin
-
-
-def _block_weights(mesh: TemporalMesh, alpha: float, b0: int) -> np.ndarray:
-    """Rows b0..b1-1 of the weight table, b1 = min(b0 + _BLOCK, N + 1), with
-    column s scaled by k_s: row n - b0 holds w_ns k_s, its diagonal w_nn k_n."""
-    wk = compute_weights(mesh, alpha, (b0, min(b0 + _BLOCK, mesh.N + 1)))
-    wk[:, 1:] *= mesh.k[: wk.shape[1] - 1]
-    return wk
 
 
 def solve(
@@ -262,9 +243,10 @@ def solve(
     u_prev[[0, -1]] = 0.0
     u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
-    # row s: d2 of the unknown of step s; rows of steps not yet taken hold their history
+    # row s: k_s times d2 of the unknown of step s; rows of steps not yet taken hold their history
     d = np.zeros((mesh.N + 1, grid.J + 1))
-    b0, wk = 1, _block_weights(mesh, alpha, 1)  # before the forcing: bad weights fail first
+    # the first block before the forcing: bad weights fail first
+    b0, w = 1, compute_weights(mesh, alpha, (1, min(1 + _BLOCK, mesh.N + 1)))
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
     trajectory = None
@@ -272,37 +254,29 @@ def solve(
         trajectory = np.empty((mesh.N + 1, grid.J + 1))
         trajectory[0] = u_prev
     reports = []
-    for n in range(1, mesh.N + 1):
-        if n == b0 + len(wk):  # next block: the far history of all its steps in one GEMM
-            b0, wk = n, _block_weights(mesh, alpha, n)
-            np.matmul(wk[:, 1:b0], d[1:b0], out=d[b0 : b0 + len(wk)])
-        kn = float(mesh.k[n - 1])
-        a = (1.0 if n == 1 else 2.0) / kn
-        c = wk[n - b0, n] / (h * h)  # w_nn k_n / h^2
-        if not (a > 0.0 and c > 0.0 and a + 2.0 * c < math.inf):
-            # a > 0 is exactly the strict diagonal dominance margin of the
-            # matrix; dpttrs does not check finiteness, so an infinite
-            # diagonal (h^2 underflowing to 0) is refused here
-            raise ValueError(f"step {n}: tridiagonal system lost diagonal dominance (c = {c})")
-        fh = factors[n - 1] @ profiles
-        d[n] += wk[n - b0, b0:n] @ d[b0:n]  # near history: d[n] now holds H_n
-        scaled = u_prev[1:-1] / kn if n == 1 else a * u_prev[1:-1]
-        rhs_base = scaled + d[n, 1:-1] + fh[1:-1]
+    # a diverging iterate overflows quietly here: its increment is not
+    # finite, which _picard reports as NonconvergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, mesh.N + 1):
+            if n == b0 + len(w):  # next block: the far history of all its steps in one GEMM
+                b0, w = n, compute_weights(mesh, alpha, (n, min(n + _BLOCK, mesh.N + 1)))
+                np.matmul(w[:, 1:b0], d[1:b0], out=d[b0 : b0 + len(w)])
+            kn = float(mesh.k[n - 1])
+            a = (1.0 if n == 1 else 2.0) / kn
+            fh = factors[n - 1] @ profiles
+            d[n] += w[n - b0, b0:n] @ d[b0:n]  # near history: d[n] now holds H_n
+            rhs_base = a * u_prev[1:-1] + d[n, 1:-1] + fh[1:-1]
+            c = w[n - b0, n] * kn / (h * h)
+            v, passes, increment = _picard(a, c, rhs_base, u_prev, h, config, step=n)
+            u_new = v if n == 1 else 2.0 * v - u_prev
 
-        try:
-            factor = tridiagonal_factor(np.full(grid.J - 1, a + 2.0 * c), np.full(grid.J - 2, -c))
-            v, passes, increment = _picard(factor, rhs_base, u_prev, h, config, step=n)
-        except ValueError as exc:
-            raise ValueError(f"step {n}: {exc}") from exc
-        u_new = v if n == 1 else 2.0 * v - u_prev
-
-        forcing_budget += 2.0 * kn * norm_l2(fh, h)
-        margin = _check_stability(u0_norm + forcing_budget, u_new, h, step=n)
-        d[n] = second_diff_values(v, h)
-        u_prev = u_new
-        reports.append(StepReport(n, passes, increment, margin))
-        if trajectory is not None:
-            trajectory[n] = u_new
+            forcing_budget += 2.0 * kn * norm_l2(fh, h)
+            margin = _check_stability(u0_norm + forcing_budget, u_new, h, step=n)
+            d[n] = kn * second_diff_values(v, h)
+            u_prev = u_new
+            reports.append(StepReport(n, passes, increment, margin))
+            if trajectory is not None:
+                trajectory[n] = u_new
 
     return SolveResult(
         mesh=mesh,

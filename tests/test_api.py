@@ -36,16 +36,40 @@ def test_bench_imports_resolve():
         assert hasattr(memburgers, name), f"bench/run.py imports missing {name!r}"
 
 
-def test_bench_scheme_callees_exist():
-    callees = None
+def _scheme_callees():
     for node in ast.walk(_bench_module()):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "SCHEME_CALLEES" for t in node.targets
         ):
-            callees = ast.literal_eval(node.value)
+            return ast.literal_eval(node.value)
+    return None
+
+
+def test_bench_scheme_callees_exist():
+    callees = _scheme_callees()
     assert callees, "bench/run.py no longer defines SCHEME_CALLEES"
     for attr in callees:
         assert hasattr(scheme, attr), f"memburgers.scheme has no {attr!r}"
+
+
+def test_bench_scheme_callees_are_called(monkeypatch):
+    # the benchmark times each callee by wrapping the scheme attribute; one
+    # that is still defined but no longer called would read 0 silently
+    calls = dict.fromkeys(_scheme_callees(), 0)
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for attr in calls:
+        monkeypatch.setattr(scheme, attr, counted(attr, getattr(scheme, attr)))
+    mesh = memburgers.build_graded_mesh(1.0, 4, 1.5)
+    grid = memburgers.build_spatial_grid(1.0, 8)
+    scheme.solve(memburgers.example1(0.5), mesh, grid, 0.5, scheme.SchemeConfig())
+    assert all(calls.values()), f"callees never called: {[a for a, n in calls.items() if not n]}"
 
 
 def test_package_modules_use_every_import():

@@ -454,6 +454,34 @@ def test_overflowing_weights_exit_2_with_one_line():
     assert lines[0].startswith("memburgers: compute_weights: non-finite weight in row 2;")
 
 
+@pytest.mark.parametrize("flags, code, message", [
+    # the source factors overflow at T = 1e100, while the weights stay finite
+    (["--T", "1e100", "--f-mode", "interval-average"], 2,
+     "memburgers: f_half: non-finite source factor at step 1 for the t**3 term;"),
+    # the iterate of the first step diverges at T = 1e5
+    (["--T", "1e5"], 1,
+     "memburgers: solver failed: fixed-point iteration did not converge at step 1: "
+     "increment inf"),
+    # an infinite gamma passes every gamma >= 1 check
+    (["--gamma", "inf"], 2,
+     "memburgers: resolve_gamma: explicit gamma must be finite and >= 1, got inf"),
+], ids=["overflowing-sources", "diverging-step", "infinite-gamma"])
+def test_refused_solve_prints_one_line(flags, code, message):
+    # each failure is named in one stderr line, with no numpy warning before it
+    proc = subprocess.run(
+        [sys.executable, "-m", "memburgers.cli", "solve", "--example", "1",
+         "--alpha", "0.5", "--gamma", "1.5", "--N", "8", "--J", "16", *flags],
+        capture_output=True,
+        text=True,
+        env=_package_env(),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(message)
+
+
 SOLVE_ARGS = ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1.0",
               "--N", "2", "--J", "8"]
 

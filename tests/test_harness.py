@@ -89,8 +89,9 @@ def test_resolve_gamma_rules_and_clamping():
     # auto-sigma on pointwise modes: sigma = alpha + 1 = 1.5 -> 4/3
     assert resolve_gamma("auto-sigma", p1, "midpoint") == pytest.approx(4.0 / 3.0)
     assert resolve_gamma(1.75, p1, "midpoint") == 1.75
-    with pytest.raises(ValueError):
-        resolve_gamma(0.8, p1, "midpoint")
+    for gamma in (0.8, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"gamma must be finite and >= 1, got {gamma}"):
+            resolve_gamma(gamma, p1, "midpoint")
     p2 = example2(0.5)
     with pytest.raises(ValueError):
         resolve_gamma("auto-sigma", p2, "endpoint_average")  # no order statement

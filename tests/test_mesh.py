@@ -93,8 +93,9 @@ def test_graded_mesh_validation():
         build_graded_mesh(-1.0, 8, 1.0)
     with pytest.raises(ValueError):
         build_graded_mesh(1.0, 0, 1.0)
-    with pytest.raises(ValueError):
-        build_graded_mesh(1.0, 8, 0.5)
+    for gamma in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"gamma must be finite and >= 1, got {gamma}"):
+            build_graded_mesh(1.0, 8, gamma)
     for T in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"T must be positive and finite, got {T}"):
             build_graded_mesh(T, 8, 1.0)
@@ -115,8 +116,9 @@ def test_levels_validation():
         TemporalMesh([0.0])
     with pytest.raises(ValueError, match="at least two, got shape \\(2, 2\\)"):
         TemporalMesh([[0.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(ValueError, match="gamma must be >= 1, got 0.5"):
-        TemporalMesh([0.0, 0.5, 1.0], gamma=0.5)
+    for bad in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"gamma must be finite and >= 1, got {bad}"):
+            TemporalMesh([0.0, 0.5, 1.0], gamma=bad)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"levels must be finite, got {bad}"):
             TemporalMesh([0.0, 0.5, bad])

@@ -22,8 +22,6 @@ from memburgers.scheme import (
     SchemeConfig,
     StabilityViolationError,
     solve,
-    tridiagonal_factor,
-    tridiagonal_solve,
 )
 
 from oracles import dense_trajectory, f_half_reference
@@ -39,45 +37,35 @@ def _zero_problem(alpha=0.5):
     )
 
 
-def test_tridiagonal_hand_solution():
-    factor = tridiagonal_factor([2.0, 2.0, 2.0], [-1.0, -1.0])
-    x = tridiagonal_solve(factor, [1.0, 0.0, 1.0])
-    assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
-
-
 @pytest.mark.parametrize("m", [1, 2, 5, 40])
-def test_tridiagonal_matches_dense_solve(m):
+def test_tridiagonal_matches_dense_solve(m, monkeypatch):
+    # with the convection switched off every pass solves the step's linear
+    # system alone: diagonal a + 2c, off-diagonal -c, m interior nodes
+    # (m = 1 takes the padded off-diagonal)
+    monkeypatch.setattr(scheme, "convection_values", lambda v, h: np.zeros_like(v))
     rng = np.random.default_rng(m)
-    off = rng.normal(size=m - 1)
-    diag = 4.0 + rng.random(size=m)  # dominant and symmetric, hence positive definite
+    a, c = 0.5 + rng.random(2)
     rhs = rng.normal(size=m)
-    full = np.diag(diag)
-    if m > 1:
-        full += np.diag(off, -1) + np.diag(off, 1)
-    expected = np.linalg.solve(full, rhs)
-    got = tridiagonal_solve(tridiagonal_factor(diag, off), rhs)
-    assert np.allclose(got, expected, rtol=1e-12, atol=1e-13)
+    full = np.diag(np.full(m, a + 2.0 * c)) - c * (np.eye(m, k=1) + np.eye(m, k=-1))
+    v, passes, increment = scheme._picard(
+        a, c, rhs, np.zeros(m + 2), 1.0 / (m + 1), SchemeConfig(eps=1e-12), step=1
+    )
+    assert passes == 2 and increment < 1e-12  # the second pass repeats the first
+    assert v[0] == v[-1] == 0.0
+    assert np.allclose(v[1:-1], np.linalg.solve(full, rhs), rtol=1e-12, atol=1e-13)
 
 
-def test_tridiagonal_band_length_validation():
-    with pytest.raises(ValueError):
-        tridiagonal_factor([2.0, 2.0, 2.0], [-1.0])  # off-diagonal too short
-    with pytest.raises(ValueError):
-        tridiagonal_factor([2.0, 2.0, 2.0], [-1.0, -1.0, -1.0])
-    with pytest.raises(ValueError):
-        tridiagonal_factor([], [])
-    factor = tridiagonal_factor([2.0, 2.0, 2.0], [-1.0, -1.0])
-    with pytest.raises(ValueError):
-        tridiagonal_solve(factor, [1.0, 1.0])
-    with pytest.raises(ValueError):
-        # LAPACK would solve the first three rows and return the fourth as is
-        tridiagonal_solve(factor, [1.0, 1.0, 1.0, 1.0])
+def test_tridiagonal_indefinite_matrix_raises(monkeypatch):
+    # the dominance guard keeps the matrix positive definite, so a pivot
+    # that LAPACK reports as not positive is simulated; the step is named
+    def not_positive_definite(diag, off):
+        return diag, off, 2
 
-
-def test_tridiagonal_indefinite_matrix_raises():
-    # eigenvalues 1 - sqrt(2) < 0 < 1, 1 + sqrt(2): symmetric but indefinite
-    with pytest.raises(ValueError, match="not positive definite"):
-        tridiagonal_factor([1.0, 1.0, 1.0], [-1.0, -1.0])
+    monkeypatch.setattr(scheme, "dpttrf", not_positive_definite)
+    mesh = build_graded_mesh(1.0, 3, 1.0)
+    grid = build_spatial_grid(1.0, 8)
+    with pytest.raises(ValueError, match=r"step 1: .*not positive definite \(pivot 2\)"):
+        solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
 
 
 def test_scheme_config_validation():
@@ -119,7 +107,7 @@ def test_full_solve_matches_dense_oracle():
     problem = example2(alpha)
     mesh = build_graded_mesh(1.0, 4, 1.6)
     config = SchemeConfig(eps=1e-12, f_mode="interval_average")
-    for J in (8, 2):  # J = 2: a single interior node, a 1 x 1 system
+    for J in (8, 3, 2):  # J = 3: a 2 x 2 system; J = 2: a single interior node, 1 x 1
         grid = build_spatial_grid(1.0, J)
         result = solve(problem, mesh, grid, alpha, config, keep_trajectory=True)
         reference = dense_trajectory(problem, mesh, grid, alpha, config.f_mode)
@@ -240,16 +228,17 @@ def test_solve_evaluates_each_profile_once():
 
 def test_solve_factors_once_per_step_and_solves_once_per_pass(monkeypatch):
     factors, solves = [], []
+    dpttrf, tridiagonal_solve = scheme.dpttrf, scheme.tridiagonal_solve
 
     def counted_factor(diag, off):
         factors.append(len(diag))
-        return tridiagonal_factor(diag, off)
+        return dpttrf(diag, off)
 
     def counted_solve(factor, rhs):
         solves.append(len(rhs))
         return tridiagonal_solve(factor, rhs)
 
-    monkeypatch.setattr(scheme, "tridiagonal_factor", counted_factor)
+    monkeypatch.setattr(scheme, "dpttrf", counted_factor)
     monkeypatch.setattr(scheme, "tridiagonal_solve", counted_solve)
     mesh = build_graded_mesh(1.0, 12, 1.5)
     grid = build_spatial_grid(1.0, 16)
@@ -266,6 +255,9 @@ def test_stability_check_raises_on_violation():
     too_big[1:-1] = 1.0
     with pytest.raises(StabilityViolationError):
         scheme._check_stability(0.0, too_big, grid.h, step=1)
+    # an infinite bound and level leave margin inf - inf = nan, which fails too
+    with pytest.raises(StabilityViolationError, match="by nan"):
+        scheme._check_stability(np.inf, np.where(too_big > 0.0, np.inf, 0.0), grid.h, step=1)
 
 
 def test_infinite_diagonal_raises(monkeypatch):
