@@ -16,10 +16,12 @@ divided difference
 and the skew-symmetric (Galerkin) convection form
 
     N(w)_j = mean3(w)_j * (w_{j+1} - w_{j-1}) / (2h)
-           = (1/(6h)) * ( w_j (w_{j+1} - w_{j-1}) + w_{j+1}^2 - w_{j-1}^2 ),
+           = (w_{j+1} - w_{j-1}) (w_{j-1} + w_j + w_{j+1}) / (6h),
 
 where mean3(w)_j = (w_{j-1} + w_j + w_{j+1})/3.  It satisfies
 <N(w), w> = 0 exactly, which is what the energy stability argument uses.
+convection_values evaluates the second, factored line: one temporary
+besides the array it returns, which the time stepper then reuses in place.
 """
 
 from __future__ import annotations
@@ -61,8 +63,11 @@ def second_diff_values(v: np.ndarray, h: float) -> np.ndarray:
 
 
 def convection_values(v: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(v)
-    gap = v[2:] - v[:-2]
-    sqgap = v[2:] ** 2 - v[:-2] ** 2
-    out[1:-1] = (v[1:-1] * gap + sqgap) / (6.0 * h)
+    out = np.empty_like(v)
+    out[0] = out[-1] = 0.0
+    inner = out[1:-1]
+    np.add(v[:-2], v[1:-1], out=inner)
+    inner += v[2:]
+    inner *= v[2:] - v[:-2]
+    inner /= 6.0 * h
     return out

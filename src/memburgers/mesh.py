@@ -144,7 +144,8 @@ class MeshHypothesesReport:
 def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
     """Build the graded mesh t_n = (n * k_base)**gamma on [0, T].
 
-    Requires a finite T > 0, an integer N >= 1 and a finite gamma >= 1.  Levels are
+    Requires a finite T > 0, an integer N >= 1 and a finite gamma >= 1 small
+    enough that t_1 = k_base**gamma does not underflow to 0.  Levels are
     computed by direct exponentiation (not step accumulation) and the
     endpoints are pinned to 0 and T exactly.
     """
@@ -161,6 +162,12 @@ def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
     t = (np.arange(N + 1, dtype=float) * (T ** (1.0 / gamma) / N)) ** gamma
     t[0] = 0.0
     t[N] = T  # exact endpoint; the power form matches it to roundoff anyway
+    if not t[1] > 0.0:
+        lost = int(np.count_nonzero(t[1:N] == 0.0))
+        raise ValueError(
+            f"build_graded_mesh: gamma = {gamma} is too large for N = {N} and T = {T}: "
+            f"the levels (n*k_base)**gamma underflow to 0 for n <= {lost}"
+        )
     return TemporalMesh(t, gamma)
 
 

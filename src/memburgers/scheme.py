@@ -22,17 +22,26 @@ sources f^{n-1/2} of all steps come from one table of time factors and
 one evaluation of each forcing profile, built before the first step (see
 problems.f_half).
 
-The history H_n sums over every earlier step.  It is split a block of
-_BLOCK steps at a time (the lag-sum splitting of Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Row s of the d table
-holds k_s d_s, so the weights enter exactly as quadrature returns them.
-When a block [b0, b1) starts, its rows of the weight table are built (see
-quadrature), and the far part of the history of all its steps, the terms
-s < b0, is one matrix product written into the rows b0..b1-1 of the d
-table, which those steps fill only when they finish.  Step n then adds its
-near part, the terms b0 <= s < n, and overwrites row n with its own
-k_n d_n.  Only one block of weight rows is alive at a time; the whole
-(N+1)^2 table is never built.
+The history H_n sums over every earlier step.  It is split in two levels
+(the lag-sum splitting of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+Comput. 6, 1985, taken one level further).  Row s of the d table holds
+k_s d_s, so the weights enter exactly as quadrature returns them; the rows
+of steps not yet taken hold their partial history until the step finishes
+and overwrites its row with its own k_n d_n.
+
+  - Block: when a block [b0, b1) of _BLOCK steps starts, its rows of the
+    weight table are built (see quadrature), and the far part of the
+    history of all its steps, the terms s < b0, is one matrix product
+    written into the rows b0..b1-1 of the d table.
+  - Sub-block: every _SUB steps inside the block, at s0, the block's
+    finished sub-blocks, the terms b0 <= s < s0, are added into the rows
+    of the next sub-block [s0, s0 + _SUB) by one more matrix product (in
+    column slices, so its temporary stays small).
+  - Step: step n adds its near part, the at most _SUB - 1 terms
+    s0 <= s < n, to row n, which then holds H_n.
+
+Only one block of weight rows is alive at a time; the whole (N+1)^2 table
+is never built.
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
@@ -45,7 +54,10 @@ iterate increment drops below eps.  _picard owns the step's linear
 system: it checks the dominance, factors the matrix once (LAPACK dpttrf,
 L D L^T), and makes each pass one back substitution through
 tridiagonal_solve (dpttrs), kept as its own function so that a traced run
-can time the per-pass solve.
+can time the per-pass solve.  A pass allocates no full-length iterate: it
+forms rhs - N(V) in the array convection_values returns, solves in that
+array, and takes the increment and the new iterate in place in the one
+working copy of U^{n-1} that the step keeps.
 
 Every step checks the energy bound
 
@@ -82,6 +94,8 @@ __all__ = [
 
 _STABILITY_SLACK = 1e-9
 _BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L, t) = 0
+_SUB = 16  # steps per sub-block of the near history; divides _BLOCK
+_COLS = 1024  # the sub-block GEMM runs a column slice at a time: its temporary stays _SUB x _COLS
 
 
 class NonconvergenceError(RuntimeError):
@@ -156,8 +170,12 @@ class SolveResult:
 
 
 def tridiagonal_solve(factor: Tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """One back substitution with the L D L^T factor (d, e) made by _picard (LAPACK dpttrs)."""
-    x, info = dpttrs(*factor, rhs)
+    """One back substitution with the L D L^T factor (d, e) made by _picard (LAPACK dpttrs).
+
+    rhs may be overwritten: the solve runs in it when it is a contiguous
+    float64 array, as each pass's right-hand side is.  Use the returned array.
+    """
+    x, info = dpttrs(*factor, rhs, overwrite_b=1)
     if info != 0:
         raise ValueError(f"tridiagonal_solve: dpttrs rejected argument {-info}")
     return x
@@ -176,7 +194,9 @@ def _picard(
 
     Each pass solves A V = rhs_base - N(V_prev) at the interior nodes, A
     the tridiagonal matrix with diagonal a + 2c and off-diagonal -c; A is
-    checked and factored once, before the first pass.
+    checked and factored once, before the first pass.  rhs_base and v are
+    left as they are: the passes work in one copy of v, and each pass forms
+    its right-hand side and solves in the array convection_values returns.
     Returns (V, passes, final increment norm); a non-finite increment raises
     NonconvergenceError at once.
     """
@@ -190,12 +210,16 @@ def _picard(
     d, e, info = dpttrf(np.full(m, a + 2.0 * c), np.full(max(m - 1, 1), -c))
     if info != 0:
         raise ValueError(f"step {step}: tridiagonal matrix is not positive definite (pivot {info})")
+    v = v.copy()  # the working iterate; its zero ends are never written
+    inner = v[1:-1]
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
-        v_new = np.zeros_like(v)
-        v_new[1:-1] = tridiagonal_solve((d, e), rhs_base - convection_values(v, h)[1:-1])
-        increment = norm_l2(v_new - v, h)
-        v = v_new
+        rhs = convection_values(v, h)[1:-1]
+        np.subtract(rhs_base, rhs, out=rhs)
+        new = tridiagonal_solve((d, e), rhs)
+        inner -= new
+        increment = norm_l2(v, h)
+        inner[:] = new
         if increment < config.eps:
             return v, passes, increment
         if not math.isfinite(increment):
@@ -261,10 +285,15 @@ def solve(
             if n == b0 + len(w):  # next block: the far history of all its steps in one GEMM
                 b0, w = n, compute_weights(mesh, alpha, (n, min(n + _BLOCK, mesh.N + 1)))
                 np.matmul(w[:, 1:b0], d[1:b0], out=d[b0 : b0 + len(w)])
+            s0 = n - (n - b0) % _SUB
+            if n == s0 > b0:  # next sub-block: the block's finished steps into its rows, one GEMM
+                ws = w[s0 - b0 : s0 - b0 + _SUB, b0:s0]
+                for j in range(0, grid.J + 1, _COLS):
+                    d[s0 : s0 + len(ws), j : j + _COLS] += ws @ d[b0:s0, j : j + _COLS]
             kn = float(mesh.k[n - 1])
             a = (1.0 if n == 1 else 2.0) / kn
             fh = factors[n - 1] @ profiles
-            d[n] += w[n - b0, b0:n] @ d[b0:n]  # near history: d[n] now holds H_n
+            d[n] += w[n - b0, s0:n] @ d[s0:n]  # near history: d[n] now holds H_n
             rhs_base = a * u_prev[1:-1] + d[n, 1:-1] + fh[1:-1]
             c = w[n - b0, n] * kn / (h * h)
             v, passes, increment = _picard(a, c, rhs_base, u_prev, h, config, step=n)

@@ -465,7 +465,14 @@ def test_overflowing_weights_exit_2_with_one_line():
     # an infinite gamma passes every gamma >= 1 check
     (["--gamma", "inf"], 2,
      "memburgers: resolve_gamma: explicit gamma must be finite and >= 1, got inf"),
-], ids=["overflowing-sources", "diverging-step", "infinite-gamma"])
+    # a huge finite gamma underflows the first levels to 0
+    (["--gamma", "1e300"], 2,
+     "memburgers: build_graded_mesh: gamma = 1e+300 is too large for N = 8 and T = 1.0: "
+     "the levels (n*k_base)**gamma underflow to 0 for n <= 7"),
+    (["--gamma", "400"], 2,
+     "memburgers: build_graded_mesh: gamma = 400.0 is too large for N = 8 and T = 1.0: "
+     "the levels (n*k_base)**gamma underflow to 0 for n <= 1"),
+], ids=["overflowing-sources", "diverging-step", "infinite-gamma", "huge-gamma", "underflowing-gamma"])
 def test_refused_solve_prints_one_line(flags, code, message):
     # each failure is named in one stderr line, with no numpy warning before it
     proc = subprocess.run(

@@ -62,6 +62,17 @@ def test_convection_equals_mean3_times_centered():
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
+def test_kernels_leave_boundary_entries_exactly_zero():
+    # the time stepper forms each pass's right-hand side in the array
+    # convection_values returns, so its ends must be 0 whatever the input's are
+    rng = np.random.default_rng(161)
+    for J in (2, 3, 17, 256):
+        v = rng.normal(size=J + 1)  # nonzero ends too
+        for out in (convection_values(v, 1.0 / J), second_diff_values(v, 1.0 / J)):
+            assert out[0] == out[-1] == 0.0
+            assert not np.signbit(out[[0, -1]]).any()
+
+
 def test_convection_skew_symmetry():
     # <N(w), w> = 0 for every w in the zero-boundary space
     rng = np.random.default_rng(2718)

@@ -106,6 +106,19 @@ def test_graded_mesh_validation():
     assert build_graded_mesh(1.0, np.int64(2), 1.0).N == 2
 
 
+def test_graded_mesh_refuses_underflowing_gamma():
+    # a huge finite gamma sends the first levels (n*k_base)**gamma to 0; the
+    # refusal names gamma, not the collapsed levels TemporalMesh would see
+    for gamma, lost in ((1e300, 7), (400.0, 1)):
+        message = (f"gamma = {gamma} is too large for N = 8 and T = 1.0: "
+                   f"the levels (n*k_base)**gamma underflow to 0 for n <= {lost}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_graded_mesh(1.0, 8, gamma)
+    # the largest whole gamma whose t_1 = 8**-gamma is still a (subnormal) float
+    assert build_graded_mesh(1.0, 8, 358.0).t[1] > 0.0
+    assert build_graded_mesh(1.0, 1, 1e300).t[1] == 1.0  # N = 1 has no level to lose
+
+
 def test_levels_validation():
     # ValueErrors, not asserts, so python -O still refuses them
     with pytest.raises(ValueError, match="t_0 must be 0, got 0.1"):

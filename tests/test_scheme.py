@@ -18,6 +18,7 @@ from memburgers.problems import (
 )
 from memburgers.quadrature import _BLOCK, compute_weights
 from memburgers.scheme import (
+    _SUB,
     NonconvergenceError,
     SchemeConfig,
     StabilityViolationError,
@@ -53,6 +54,22 @@ def test_tridiagonal_matches_dense_solve(m, monkeypatch):
     assert passes == 2 and increment < 1e-12  # the second pass repeats the first
     assert v[0] == v[-1] == 0.0
     assert np.allclose(v[1:-1], np.linalg.solve(full, rhs), rtol=1e-12, atol=1e-13)
+
+
+def test_picard_leaves_its_inputs_unchanged():
+    # each pass works in place, but solve still needs the start vector
+    # (U^{n-1}, for U^n = 2V - U^{n-1}) and the right-hand side is the caller's
+    rng = np.random.default_rng(7)
+    m = 31
+    v = np.zeros(m + 2)
+    v[1:-1] = rng.normal(size=m)
+    rhs = rng.normal(size=m)
+    v_in, rhs_in = v.copy(), rhs.copy()
+    out, passes, _ = scheme._picard(40.0, 3.0, rhs_in, v_in, 1.0 / (m + 1), SchemeConfig(), step=1)
+    assert passes > 1
+    assert v_in.tobytes() == v.tobytes()
+    assert rhs_in.tobytes() == rhs.tobytes()
+    assert not np.shares_memory(out, v_in)
 
 
 def test_tridiagonal_indefinite_matrix_raises(monkeypatch):
@@ -115,19 +132,27 @@ def test_full_solve_matches_dense_oracle():
             assert np.max(np.abs(level - ref)) <= 1e-7
 
 
-@pytest.mark.parametrize("n_steps", [_BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
-def test_block_boundaries_match_dense_oracle(n_steps):
+@pytest.mark.parametrize("n_steps", [
+    _SUB - 1, _SUB, _SUB + 1, 2 * _SUB + 1,
+    _BLOCK, _BLOCK + 1, _BLOCK + _SUB, _BLOCK + _SUB + 1, 2 * _BLOCK + 1,
+])
+def test_block_boundaries_match_dense_oracle(n_steps, monkeypatch):
     # the history is summed a block of _BLOCK steps at a time (far part by
-    # one GEMM, near part per step); steps on either side of each block
-    # boundary must agree with the oracle, which sums it term by term
+    # one GEMM), then a sub-block of _SUB steps at a time (the block's
+    # finished sub-blocks by one GEMM), then per step; steps on either side
+    # of each block and sub-block boundary must agree with the oracle, which
+    # sums it term by term
     alpha = 0.4
     problem = example1(alpha)
     mesh = build_graded_mesh(1.0, n_steps, 2.0 / (alpha + 1.0))
     grid = build_spatial_grid(1.0, 4)
     config = SchemeConfig(eps=1e-12)
-    result = solve(problem, mesh, grid, alpha, config, keep_trajectory=True)
     reference = np.array(dense_trajectory(problem, mesh, grid, alpha, config.f_mode))
-    assert np.max(np.abs(result.trajectory - reference)) <= 1e-10
+    # the sub-block GEMM runs in column slices; 3 columns split the 5 nodes unevenly
+    for cols in (scheme._COLS, 3):
+        monkeypatch.setattr(scheme, "_COLS", cols)
+        result = solve(problem, mesh, grid, alpha, config, keep_trajectory=True)
+        assert np.max(np.abs(result.trajectory - reference)) <= 1e-10
 
 
 def test_solve_never_builds_the_full_weight_table():
