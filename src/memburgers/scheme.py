@@ -29,10 +29,21 @@ k_s d_s, so the weights enter exactly as quadrature returns them; the rows
 of steps not yet taken hold their partial history until the step finishes
 and overwrites its row with its own k_n d_n.
 
-  - Block: when a block [b0, b1) of _BLOCK steps starts, its rows of the
-    weight table are built (see quadrature), and the far part of the
-    history of all its steps, the terms s < b0, is one matrix product
-    written into the rows b0..b1-1 of the d table.
+  - Block: when a block [b0, b1) of _BLOCK steps starts, the far part of
+    the history of all its steps, the terms s < b0, is written into the
+    rows b0..b1-1 of the d table.  Its exact window, the terms
+    c0 <= s < b0 with c0 = max(1, b0 - _WINDOW), is one matrix product
+    with the block's rows of the weight table, built for the columns
+    c0..b1-1 only (see quadrature).  Its tail, the terms s < c0, goes
+    through the sum-of-exponentials (SOE) modes of the kernel (see
+    quadrature): a state z, one row per mode, holds the tail at t_{b0-1}.
+    Per block z decays from the last block's t_{b0-1} and takes the rows
+    that just left the window (one matrix product), and one more product
+    adds its value into the block's rows, both a column slice at a time.
+    The modes are built once per solve, for the lags from the smallest
+    t_{b0-1} - t_{c0-1} of the mesh's tail blocks up to T.  A solve with
+    N <= _WINDOW + _BLOCK has no tail: it builds no modes and sums every
+    step exactly.
   - Sub-block: every _SUB steps inside the block, at s0, the block's
     finished sub-blocks, the terms b0 <= s < s0, are added into the rows
     of the next sub-block [s0, s0 + _SUB) by one more matrix product (in
@@ -40,8 +51,9 @@ and overwrites its row with its own k_n d_n.
   - Step: step n adds its near part, the at most _SUB - 1 terms
     s0 <= s < n, to row n, which then holds H_n.
 
-Only one block of weight rows is alive at a time; the whole (N+1)^2 table
-is never built.
+Only one block of weight rows, _BLOCK x (_WINDOW + _BLOCK) at most, is
+alive at a time; the whole (N+1)^2 table is never built, and the history
+costs O(N (_WINDOW + modes) J) flops, not O(N^2 J).
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
@@ -65,8 +77,11 @@ Every step checks the energy bound
 
 which the scheme satisfies because the convection form is skew-symmetric
 and the product-integration weights induce a positive-semidefinite memory
-pairing.  A violation raises StabilityViolationError (never expected; it
-would indicate an assembly bug, not a bad parameter choice).
+pairing.  The SOE tail changes the far weights by about 1e-12 relative,
+so the pairing is positive semidefinite up to a perturbation of that size
+rather than exactly; the check guards it.  A violation raises
+StabilityViolationError (never expected; it would indicate an assembly
+bug, not a bad parameter choice).
 """
 
 from __future__ import annotations
@@ -81,7 +96,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .gridops import GridFunction, convection_values, norm_l2, second_diff_values
 from .mesh import SpatialGrid, TemporalMesh, whole_count
 from .problems import F_MODES, ManufacturedProblem, f_half
-from .quadrature import _BLOCK, compute_weights
+from .quadrature import _BLOCK, _soe_factors, _soe_modes, compute_weights
 
 __all__ = [
     "SchemeConfig",
@@ -95,7 +110,8 @@ __all__ = [
 _STABILITY_SLACK = 1e-9
 _BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L, t) = 0
 _SUB = 16  # steps per sub-block of the near history; divides _BLOCK
-_COLS = 1024  # the sub-block GEMM runs a column slice at a time: its temporary stays _SUB x _COLS
+_COLS = 1024  # the sub-block and tail GEMMs run a column slice at a time: their temporaries stay small
+_WINDOW = 512  # steps of exact history behind each block; a multiple of _BLOCK
 
 
 class NonconvergenceError(RuntimeError):
@@ -270,7 +286,15 @@ def solve(
     # row s: k_s times d2 of the unknown of step s; rows of steps not yet taken hold their history
     d = np.zeros((mesh.N + 1, grid.J + 1))
     # the first block before the forcing: bad weights fail first
-    b0, w = 1, compute_weights(mesh, alpha, (1, min(1 + _BLOCK, mesh.N + 1)))
+    b0, c0 = 1, 1  # the block's first step and the first column of its exact window
+    near = w = compute_weights(mesh, alpha, (1, min(1 + _BLOCK, mesh.N + 1)), first_col=1)
+    t, k = mesh.t, mesh.k
+    starts = np.arange(1, mesh.N + 1, _BLOCK)
+    tail = starts[starts > _WINDOW + 1]  # blocks with steps s < c0 = b0 - _WINDOW
+    if tail.size:
+        # the smallest lag t_{n-1} - t_s of a tail pair, s < c0 <= b0 <= n
+        lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - _WINDOW - 1])))
+        z = np.zeros((lam.size, grid.J + 1))  # the tail state at t_{b0-1}, one row per mode
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
     trajectory = None
@@ -282,20 +306,30 @@ def solve(
     # finite, which _picard reports as NonconvergenceError
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, mesh.N + 1):
-            if n == b0 + len(w):  # next block: the far history of all its steps in one GEMM
-                b0, w = n, compute_weights(mesh, alpha, (n, min(n + _BLOCK, mesh.N + 1)))
-                np.matmul(w[:, 1:b0], d[1:b0], out=d[b0 : b0 + len(w)])
+            if n == b0 + len(w):  # next block: the far history of all its steps
+                c_prev, b0, b1 = c0, n, min(n + _BLOCK, mesh.N + 1)
+                c0 = max(1, b0 - _WINDOW)
+                w = compute_weights(mesh, alpha, (b0, b1), first_col=c0)
+                near = w[:, b0 - c0 :]  # columns b0..b1-1
+                np.matmul(w[:, : b0 - c0], d[c0:b0], out=d[b0:b1])  # the window, exact
+                if c0 > 1:  # the tail: decay z to t_{b0-1}, then add the rows that left the window
+                    z *= np.exp(-lam * (t[b0 - 1] - t[b0 - 1 - _BLOCK]))[:, None]
+                    e = _soe_factors(lam, k[c_prev - 1 : c0 - 1], t[b0 - 1] - t[c_prev:c0]).T
+                    g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
+                    for j in range(0, grid.J + 1, _COLS):
+                        z[:, j : j + _COLS] += e @ d[c_prev:c0, j : j + _COLS]
+                        d[b0:b1, j : j + _COLS] += g @ z[:, j : j + _COLS]
             s0 = n - (n - b0) % _SUB
             if n == s0 > b0:  # next sub-block: the block's finished steps into its rows, one GEMM
-                ws = w[s0 - b0 : s0 - b0 + _SUB, b0:s0]
+                ws = near[s0 - b0 : s0 - b0 + _SUB, : s0 - b0]
                 for j in range(0, grid.J + 1, _COLS):
                     d[s0 : s0 + len(ws), j : j + _COLS] += ws @ d[b0:s0, j : j + _COLS]
             kn = float(mesh.k[n - 1])
             a = (1.0 if n == 1 else 2.0) / kn
             fh = factors[n - 1] @ profiles
-            d[n] += w[n - b0, s0:n] @ d[s0:n]  # near history: d[n] now holds H_n
+            d[n] += near[n - b0, s0 - b0 : n - b0] @ d[s0:n]  # near history: d[n] now holds H_n
             rhs_base = a * u_prev[1:-1] + d[n, 1:-1] + fh[1:-1]
-            c = w[n - b0, n] * kn / (h * h)
+            c = near[n - b0, n - b0] * kn / (h * h)
             v, passes, increment = _picard(a, c, rhs_base, u_prev, h, config, step=n)
             u_new = v if n == 1 else 2.0 * v - u_prev
 

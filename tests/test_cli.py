@@ -333,7 +333,7 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     # --N 100000 --J 100000 would ask for a 74.5 GiB d table; the refused
     # allocation is simulated by the first weight block of a small solve,
     # never made
-    def refuse(mesh, alpha, rows):
+    def refuse(mesh, alpha, rows, first_col):
         raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
                           "(100001, 100001) and data type float64")
 

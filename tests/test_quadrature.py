@@ -3,11 +3,13 @@ the structural properties the stability theory rests on."""
 
 from math import gamma
 
+import mpmath
 import numpy as np
 import pytest
 
 from memburgers.mesh import TemporalMesh, build_graded_mesh
-from memburgers.quadrature import _BLOCK, compute_weights
+from memburgers.quadrature import _BLOCK, _soe_factors, _soe_modes, compute_weights
+from memburgers.scheme import _WINDOW
 
 from oracles import weight_by_quadrature, weights_row_loop
 
@@ -156,11 +158,44 @@ def test_row_range_is_slice_of_full_table(rows):
     assert np.array_equal(block, full[n0:n1, :n1])
 
 
+@pytest.mark.parametrize("rows", [(_WINDOW + 1, _WINDOW + _BLOCK + 1), (_WINDOW + _BLOCK + 1, 701),
+                                  (600, 690)])
+@pytest.mark.parametrize("window", [None, _WINDOW, 0])
+def test_first_column_is_slice_of_full_table(rows, window):
+    # solve asks for the columns c0..n1-1 of its exact window only:
+    # c0 = 1, c0 = n0 - _WINDOW and c0 = n0 (the near square alone)
+    mesh = build_graded_mesh(2.0, 700, 1.7)
+    full = compute_weights(mesh, 0.35)
+    n0, n1 = rows
+    c0 = 1 if window is None else n0 - window
+    block = compute_weights(mesh, 0.35, rows, first_col=c0)
+    assert block.shape == (n1 - n0, n1 - c0)
+    assert np.array_equal(block, full[n0:n1, c0:n1])
+
+
+def test_positivity_check_covers_only_returned_columns():
+    # on this mesh only w[189, 1] cancels to zero; rows without column 1 pass
+    mesh = build_graded_mesh(1.0, 512, 6.0)
+    with pytest.raises(ValueError, match="nonpositive weight in row 189 "):
+        compute_weights(mesh, 0.25, (129, 257), first_col=1)
+    block = compute_weights(mesh, 0.25, (129, 257), first_col=2)
+    rows = np.arange(129, 257)[:, None]
+    cols = np.arange(2, 257)[None, :]
+    assert np.all(block[cols <= rows] > 0.0)
+
+
 @pytest.mark.parametrize("rows", [(0, 3), (-1, 2), (1, 7), (3, 3), (4, 2)])
 def test_bad_row_range_raises(rows):
     mesh = build_graded_mesh(1.0, 5, 1.0)
     with pytest.raises(ValueError, match="rows must satisfy"):
         compute_weights(mesh, 0.5, rows)
+
+
+@pytest.mark.parametrize("first_col", [-1, 4])
+def test_bad_first_column_raises(first_col):
+    mesh = build_graded_mesh(1.0, 5, 1.0)
+    with pytest.raises(ValueError, match="first_col must satisfy"):
+        compute_weights(mesh, 0.5, (3, 5), first_col)
 
 
 def test_nonpositive_weights_raise_value_error():
@@ -188,3 +223,61 @@ def test_alpha_domain(alpha):
     mesh = build_graded_mesh(1.0, 3, 1.0)
     with pytest.raises(ValueError):
         compute_weights(mesh, alpha)
+
+
+def _weight_mpmath(mesh, n, s, alpha):
+    """The closed form at 40 digits, from the mesh levels as stored."""
+    with mpmath.workdps(40):
+        t = [mpmath.mpf(float(x)) for x in mesh.t[[s - 1, s, n - 1, n]]]
+        a = mpmath.mpf(alpha) + 1
+        num = ((t[3] - t[0]) ** a - (t[3] - t[1]) ** a) - ((t[2] - t[0]) ** a - (t[2] - t[1]) ** a)
+        return float(num / ((t[3] - t[2]) * (t[1] - t[0]) * mpmath.gamma(a + 1)))
+
+
+def _assert_tail_weights_match_mpmath(mesh, alpha):
+    # far pairs s < c0 = b0 - _WINDOW of the first and the last tail block,
+    # with delta taken from the mesh as solve does; pytest turns any
+    # RuntimeWarning into an error
+    t, k = mesh.t, mesh.k
+    starts = np.arange(1, mesh.N + 1, _BLOCK)
+    tail = starts[starts > _WINDOW + 1]
+    lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - _WINDOW - 1])))
+    for b0 in (tail[0], tail[-1]):
+        b1, c0 = min(b0 + _BLOCK, mesh.N + 1), b0 - _WINDOW
+        rows = _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
+        cols = _soe_factors(lam, k[: c0 - 1], t[b0 - 1] - t[1:c0])
+        for f in (rows, cols):
+            assert np.all(f > 0.0) and np.all(f <= 1.0)
+        w = (omega * rows) @ cols.T
+        for n in (b0, b1 - 1):
+            for s in (1, 2, c0 // 2, c0 - 1):
+                ref = _weight_mpmath(mesh, n, s, alpha)
+                assert abs(w[n - b0, s - 1] / ref - 1.0) <= 1e-11, (n, s)
+
+
+@pytest.mark.parametrize("T,alpha", [
+    (1.0, 0.1), (1.0, 0.5), (1.0, 0.9),
+    # extreme time scales and orders: no overflow, no warning
+    (1e-6, 0.05), (1e-6, 0.95), (1e6, 0.05), (1e6, 0.95),
+])
+def test_soe_tail_weights_match_mpmath(T, alpha):
+    _assert_tail_weights_match_mpmath(build_graded_mesh(T, 1024, 1.6), alpha)
+
+
+def test_soe_tail_on_non_monotone_steps():
+    # steps that shrink and grow again: the smallest far lag is not at the
+    # first tail block, so delta must come from the mesh
+    rng = np.random.default_rng(5)
+    k = np.where(np.arange(900) % 200 < 100, 1e-4, 1.0) * rng.uniform(0.5, 1.5, 900)
+    _assert_tail_weights_match_mpmath(TemporalMesh(np.concatenate([[0.0], np.cumsum(k)])), 0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 0.9, 0.95])
+@pytest.mark.parametrize("T,delta", [(1.0, 1e-3), (1.0, 1e-9), (1e6, 1e-2), (1e-6, 1e-12)])
+def test_soe_modes_fit_kernel(alpha, T, delta):
+    lam, omega = _soe_modes(alpha, T, delta)
+    assert np.all(lam > 0.0) and np.all(omega > 0.0)
+    tau = np.geomspace(delta, T, 400)
+    fit = np.exp(-np.multiply.outer(tau, lam)) @ omega
+    kernel = tau ** (alpha - 1.0) / gamma(alpha)
+    assert np.max(np.abs(fit / kernel - 1.0)) <= 1e-12

@@ -170,6 +170,40 @@ def test_solve_never_builds_the_full_weight_table():
     assert peak < 0.5 * (n_steps + 1) ** 2 * 8
 
 
+@pytest.mark.parametrize("window", [scheme._WINDOW, _BLOCK])
+def test_soe_tail_matches_exact_history(window, monkeypatch):
+    # steps older than the window enter the history through the SOE modes;
+    # with the window above N every step is summed exactly
+    alpha = 0.5
+    problem = example1(alpha)
+    mesh = build_graded_mesh(1.0, 1024, 2.0 / (alpha + 1.0))
+    grid = build_spatial_grid(1.0, 16)
+    monkeypatch.setattr(scheme, "_WINDOW", window)
+    tail = solve(problem, mesh, grid, alpha, SchemeConfig())
+    monkeypatch.setattr(scheme, "_WINDOW", 2 * mesh.N)
+    exact = solve(problem, mesh, grid, alpha, SchemeConfig())
+    assert [r.iterations for r in tail.reports] == [r.iterations for r in exact.reports]
+    gap = np.max(np.abs(tail.final.values - exact.final.values))
+    assert gap <= 1e-10 * np.max(np.abs(exact.final.values))
+    assert min(r.stability_margin for r in tail.reports) >= -1e-9
+
+
+@pytest.mark.parametrize("n_steps", [1, scheme._WINDOW + _BLOCK, scheme._WINDOW + _BLOCK + 1])
+def test_soe_modes_built_only_with_a_tail(n_steps, monkeypatch):
+    # a solve whose blocks all lie within the window of their first step
+    # (N <= 640) sums every step exactly and builds no modes
+    calls, soe_modes = [], scheme._soe_modes
+
+    def counted(*args):
+        calls.append(args)
+        return soe_modes(*args)
+
+    monkeypatch.setattr(scheme, "_soe_modes", counted)
+    mesh = build_graded_mesh(1.0, n_steps, 1.0)
+    solve(example1(0.5), mesh, build_spatial_grid(1.0, 4), 0.5, SchemeConfig())
+    assert len(calls) == (n_steps > scheme._WINDOW + _BLOCK)
+
+
 def test_nonconvergence_reports_failing_step():
     problem = example1(0.5)
     mesh = build_graded_mesh(1.0, 4, 1.0)
@@ -288,10 +322,10 @@ def test_stability_check_raises_on_violation():
 def test_infinite_diagonal_raises(monkeypatch):
     # dpttrs does not check finiteness, so a step whose diagonal is
     # infinite must be refused by name before it is factored
-    def infinite_diagonal(mesh, alpha, rows):
-        w = compute_weights(mesh, alpha, rows)
+    def infinite_diagonal(mesh, alpha, rows, first_col):
+        w = compute_weights(mesh, alpha, rows, first_col)
         if rows[0] == 1:
-            w[0, 1] = np.inf  # w_11
+            w[0, 1 - first_col] = np.inf  # w_11
         return w
 
     monkeypatch.setattr(scheme, "compute_weights", infinite_diagonal)
@@ -304,10 +338,10 @@ def test_infinite_diagonal_raises(monkeypatch):
 def test_lost_diagonal_dominance_raises(monkeypatch):
     # a zero diagonal weight leaves no implicit diffusion; the step must
     # refuse it with a ValueError, which still fires under python -O
-    def zero_diagonal(mesh, alpha, rows):
-        w = compute_weights(mesh, alpha, rows)
+    def zero_diagonal(mesh, alpha, rows, first_col):
+        w = compute_weights(mesh, alpha, rows, first_col)
         if rows[0] == 1:
-            w[1, 2] = 0.0  # w_22
+            w[1, 2 - first_col] = 0.0  # w_22
         return w
 
     monkeypatch.setattr(scheme, "compute_weights", zero_diagonal)
