@@ -42,7 +42,7 @@ from .harness import (
 from .mesh import build_graded_mesh, build_spatial_grid, check_mesh_hypotheses
 from .problems import F_MODES, problem_by_name
 from .quadrature import compute_weights
-from .scheme import NonconvergenceError, SchemeConfig, solve
+from .scheme import NonconvergenceError, SchemeConfig, StabilityViolationError, solve
 
 
 def _config_argv(path: str) -> List[str]:
@@ -242,7 +242,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.config is not None:
             raise ValueError("a config file cannot name another config file")
         return args.run(args)
-    except NonconvergenceError as exc:
+    except (NonconvergenceError, StabilityViolationError) as exc:
         print(f"memburgers: solver failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -77,7 +77,7 @@ from .mesh import TemporalMesh
 __all__ = ["compute_weights"]
 
 
-_BLOCK = 128  # rows per weight block: the step block of solve's history sum
+_BLOCK = 64  # rows per weight block: the step block of solve's history sum
 _SOE_NODES = 8  # Gauss-Jacobi nodes on [0, 1/T], and Gauss-Legendre nodes per dyadic panel
 _SOE_CUTOFF = 45.0  # the panels end at 45/delta, where exp(-s delta) < 3e-20
 
@@ -94,7 +94,8 @@ def compute_weights(
     1 <= s <= n <= N; row and column 0 are unused, kept so the indices
     match the math, and every entry outside that triangle is zero.  With
     rows = (n0, n1), 1 <= n0 < n1 <= N + 1, returns only w[n0:n1, c0:n1],
-    c0 = first_col with 0 <= c0 <= n0, bit for bit the same numbers.
+    c0 = first_col with 0 <= c0 <= n0, bit for bit the same numbers;
+    without rows, first_col must be 0.
     Requires 0 < alpha < 1.  Cost is O(N^2), one power per entry; no
     quadrature is involved.
     """
@@ -102,17 +103,17 @@ def compute_weights(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"compute_weights: alpha must be in (0, 1), got {alpha}")
     N = mesh.N
+    n0, n1 = (0, N + 1) if rows is None else rows  # no rows: n0 = 0 admits only first_col = 0
+    if rows is not None and not 1 <= n0 < n1 <= N + 1:
+        raise ValueError(
+            f"compute_weights: rows must satisfy 1 <= n0 < n1 <= N + 1 = {N + 1}, got {rows}"
+        )
+    if not 0 <= first_col <= n0:
+        raise ValueError(
+            f"compute_weights: first_col must satisfy 0 <= first_col <= n0 = {n0}, "
+            f"got {first_col}"
+        )
     if rows is not None:
-        n0, n1 = rows
-        if not 1 <= n0 < n1 <= N + 1:
-            raise ValueError(
-                f"compute_weights: rows must satisfy 1 <= n0 < n1 <= N + 1 = {N + 1}, got {rows}"
-            )
-        if not 0 <= first_col <= n0:
-            raise ValueError(
-                f"compute_weights: first_col must satisfy 0 <= first_col <= n0 = {n0}, "
-                f"got {first_col}"
-            )
         return _weight_rows(mesh, alpha, n0, n1, first_col)
     w = np.zeros((N + 1, N + 1))
     for n0 in range(1, N + 1, _BLOCK):

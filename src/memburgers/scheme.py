@@ -22,12 +22,12 @@ sources f^{n-1/2} of all steps come from one table of time factors and
 one evaluation of each forcing profile, built before the first step (see
 problems.f_half).
 
-The history H_n sums over every earlier step.  It is split in two levels
-(the lag-sum splitting of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-Comput. 6, 1985, taken one level further).  Row s of the d table holds
-k_s d_s, so the weights enter exactly as quadrature returns them; the rows
-of steps not yet taken hold their partial history until the step finishes
-and overwrites its row with its own k_n d_n.
+The history H_n sums over every earlier step, a block of _BLOCK steps
+at a time (the lag-sum splitting of Hairer, Lubich & Schlichte, SIAM J.
+Sci. Stat. Comput. 6, 1985).  Row s of the d table holds k_s d_s, so the
+weights enter exactly as quadrature returns them; the rows of steps not
+yet taken hold their partial history until the step finishes and
+overwrites its row with its own k_n d_n.
 
   - Block: when a block [b0, b1) of _BLOCK steps starts, the far part of
     the history of all its steps, the terms s < b0, is written into the
@@ -39,17 +39,12 @@ and overwrites its row with its own k_n d_n.
     quadrature): a state z, one row per mode, holds the tail at t_{b0-1}.
     Per block z decays from the last block's t_{b0-1} and takes the rows
     that just left the window (one matrix product), and one more product
-    adds its value into the block's rows, both a column slice at a time.
-    The modes are built once per solve, for the lags from the smallest
-    t_{b0-1} - t_{c0-1} of the mesh's tail blocks up to T.  A solve with
-    N <= _WINDOW + _BLOCK has no tail: it builds no modes and sums every
-    step exactly.
-  - Sub-block: every _SUB steps inside the block, at s0, the block's
-    finished sub-blocks, the terms b0 <= s < s0, are added into the rows
-    of the next sub-block [s0, s0 + _SUB) by one more matrix product (in
-    column slices, so its temporary stays small).
-  - Step: step n adds its near part, the at most _SUB - 1 terms
-    s0 <= s < n, to row n, which then holds H_n.
+    adds its value into the block's rows.  The modes are built once per
+    solve, for the lags from the smallest t_{b0-1} - t_{c0-1} of the
+    mesh's tail blocks up to T.  A solve with N <= _WINDOW + _BLOCK has
+    no tail: it builds no modes and sums every step exactly.
+  - Step: step n adds its near part, the at most _BLOCK - 1 terms
+    b0 <= s < n, to row n, which then holds H_n.
 
 Only one block of weight rows, _BLOCK x (_WINDOW + _BLOCK) at most, is
 alive at a time; the whole (N+1)^2 table is never built, and the history
@@ -109,8 +104,6 @@ __all__ = [
 
 _STABILITY_SLACK = 1e-9
 _BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L, t) = 0
-_SUB = 16  # steps per sub-block of the near history; divides _BLOCK
-_COLS = 1024  # the sub-block and tail GEMMs run a column slice at a time: their temporaries stay small
 _WINDOW = 512  # steps of exact history behind each block; a multiple of _BLOCK
 
 
@@ -316,18 +309,12 @@ def solve(
                     z *= np.exp(-lam * (t[b0 - 1] - t[b0 - 1 - _BLOCK]))[:, None]
                     e = _soe_factors(lam, k[c_prev - 1 : c0 - 1], t[b0 - 1] - t[c_prev:c0]).T
                     g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
-                    for j in range(0, grid.J + 1, _COLS):
-                        z[:, j : j + _COLS] += e @ d[c_prev:c0, j : j + _COLS]
-                        d[b0:b1, j : j + _COLS] += g @ z[:, j : j + _COLS]
-            s0 = n - (n - b0) % _SUB
-            if n == s0 > b0:  # next sub-block: the block's finished steps into its rows, one GEMM
-                ws = near[s0 - b0 : s0 - b0 + _SUB, : s0 - b0]
-                for j in range(0, grid.J + 1, _COLS):
-                    d[s0 : s0 + len(ws), j : j + _COLS] += ws @ d[b0:s0, j : j + _COLS]
+                    z += e @ d[c_prev:c0]
+                    d[b0:b1] += g @ z
             kn = float(mesh.k[n - 1])
             a = (1.0 if n == 1 else 2.0) / kn
             fh = factors[n - 1] @ profiles
-            d[n] += near[n - b0, s0 - b0 : n - b0] @ d[s0:n]  # near history: d[n] now holds H_n
+            d[n] += near[n - b0, : n - b0] @ d[b0:n]  # near history: d[n] now holds H_n
             rhs_base = a * u_prev[1:-1] + d[n, 1:-1] + fh[1:-1]
             c = near[n - b0, n - b0] * kn / (h * h)
             v, passes, increment = _picard(a, c, rhs_base, u_prev, h, config, step=n)

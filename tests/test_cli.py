@@ -351,6 +351,28 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     )
 
 
+def test_stability_violation_exits_1(monkeypatch, capsys):
+    # never expected on a correct assembly; the violation is simulated at step 1
+    def violate(bound, u_new, h, step):
+        raise scheme.StabilityViolationError(
+            f"energy bound violated at step {step}: ||U^n|| exceeds "
+            f"||U^0|| + 2 sum k_l ||f^(l-1/2)|| by 1.000e-03"
+        )
+
+    monkeypatch.setattr(scheme, "_check_stability", violate)
+    code = main(
+        ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1",
+         "--N", "8", "--J", "4"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "memburgers: solver failed: energy bound violated at step 1: ||U^n|| exceeds "
+        "||U^0|| + 2 sum k_l ||f^(l-1/2)|| by 1.000e-03\n"
+    )
+
+
 def test_check_mesh_reports_hypotheses(capsys):
     code = main(["check-mesh", "--gamma", "1.6", "--N", "16"])
     out = capsys.readouterr().out

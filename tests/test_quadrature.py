@@ -130,11 +130,13 @@ def test_history_sum_level_one_uses_only_first_value():
     assert np.allclose(out, w[1, 1] * mesh.k[0] * first, rtol=1e-15)
 
 
-@pytest.mark.parametrize("n_steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("n_steps", [1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1, 6 * _BLOCK + 5])
 @pytest.mark.parametrize("alpha,grading", [(0.25, 1.6), (0.5, 1.0), (0.9, 2.5), (0.1, 3.0)])
 def test_matches_row_loop_oracle(n_steps, alpha, grading):
     # the blocked kernel takes each weight as a mixed second difference of
-    # one power table; the oracle evaluates each row from its own powers
+    # one power table, and the full table stacks blocks of _BLOCK rows (N on
+    # either side of the second block boundary); the oracle evaluates each
+    # row from its own powers
     mesh = build_graded_mesh(1.0, n_steps, grading)
     w = compute_weights(mesh, alpha)
     ref = weights_row_loop(mesh, alpha)
@@ -191,11 +193,13 @@ def test_bad_row_range_raises(rows):
         compute_weights(mesh, 0.5, rows)
 
 
-@pytest.mark.parametrize("first_col", [-1, 4])
+@pytest.mark.parametrize("first_col", [-1, 4, 5, -3])
 def test_bad_first_column_raises(first_col):
+    # with rows (3, 5) first_col must lie in [0, 3]; the full table takes only 0
     mesh = build_graded_mesh(1.0, 5, 1.0)
-    with pytest.raises(ValueError, match="first_col must satisfy"):
-        compute_weights(mesh, 0.5, (3, 5), first_col)
+    for rows in ((3, 5), None):
+        with pytest.raises(ValueError, match="first_col must satisfy"):
+            compute_weights(mesh, 0.5, rows, first_col)
 
 
 def test_nonpositive_weights_raise_value_error():

@@ -18,7 +18,6 @@ from memburgers.problems import (
 )
 from memburgers.quadrature import _BLOCK, compute_weights
 from memburgers.scheme import (
-    _SUB,
     NonconvergenceError,
     SchemeConfig,
     StabilityViolationError,
@@ -133,26 +132,22 @@ def test_full_solve_matches_dense_oracle():
 
 
 @pytest.mark.parametrize("n_steps", [
-    _SUB - 1, _SUB, _SUB + 1, 2 * _SUB + 1,
-    _BLOCK, _BLOCK + 1, _BLOCK + _SUB, _BLOCK + _SUB + 1, 2 * _BLOCK + 1,
+    1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 1,
+    scheme._WINDOW + _BLOCK + 1, scheme._WINDOW + 2 * _BLOCK + 1,
 ])
-def test_block_boundaries_match_dense_oracle(n_steps, monkeypatch):
+def test_block_boundaries_match_dense_oracle(n_steps):
     # the history is summed a block of _BLOCK steps at a time (far part by
-    # one GEMM), then a sub-block of _SUB steps at a time (the block's
-    # finished sub-blocks by one GEMM), then per step; steps on either side
-    # of each block and sub-block boundary must agree with the oracle, which
-    # sums it term by term
+    # one GEMM, steps older than the window through the SOE tail), then per
+    # step; steps on either side of each block boundary, and the first two
+    # tail blocks, must agree with the oracle, which sums it term by term
     alpha = 0.4
     problem = example1(alpha)
     mesh = build_graded_mesh(1.0, n_steps, 2.0 / (alpha + 1.0))
     grid = build_spatial_grid(1.0, 4)
     config = SchemeConfig(eps=1e-12)
     reference = np.array(dense_trajectory(problem, mesh, grid, alpha, config.f_mode))
-    # the sub-block GEMM runs in column slices; 3 columns split the 5 nodes unevenly
-    for cols in (scheme._COLS, 3):
-        monkeypatch.setattr(scheme, "_COLS", cols)
-        result = solve(problem, mesh, grid, alpha, config, keep_trajectory=True)
-        assert np.max(np.abs(result.trajectory - reference)) <= 1e-10
+    result = solve(problem, mesh, grid, alpha, config, keep_trajectory=True)
+    assert np.max(np.abs(result.trajectory - reference)) <= 1e-10
 
 
 def test_solve_never_builds_the_full_weight_table():
@@ -170,7 +165,7 @@ def test_solve_never_builds_the_full_weight_table():
     assert peak < 0.5 * (n_steps + 1) ** 2 * 8
 
 
-@pytest.mark.parametrize("window", [scheme._WINDOW, _BLOCK])
+@pytest.mark.parametrize("window", [scheme._WINDOW, 2 * _BLOCK, _BLOCK])
 def test_soe_tail_matches_exact_history(window, monkeypatch):
     # steps older than the window enter the history through the SOE modes;
     # with the window above N every step is summed exactly
@@ -188,10 +183,14 @@ def test_soe_tail_matches_exact_history(window, monkeypatch):
     assert min(r.stability_margin for r in tail.reports) >= -1e-9
 
 
-@pytest.mark.parametrize("n_steps", [1, scheme._WINDOW + _BLOCK, scheme._WINDOW + _BLOCK + 1])
+@pytest.mark.parametrize("n_steps", [
+    1, scheme._WINDOW + _BLOCK, scheme._WINDOW + _BLOCK + 1,
+    scheme._WINDOW + 2 * _BLOCK, scheme._WINDOW + 2 * _BLOCK + 1,
+])
 def test_soe_modes_built_only_with_a_tail(n_steps, monkeypatch):
     # a solve whose blocks all lie within the window of their first step
-    # (N <= 640) sums every step exactly and builds no modes
+    # (N <= 576) sums every step exactly and builds no modes; one with
+    # tail blocks builds them once, however many such blocks it has
     calls, soe_modes = [], scheme._soe_modes
 
     def counted(*args):
