@@ -37,13 +37,12 @@ and the numerator above is its mixed second difference
 builds the rows n0 <= n < n1 of the table from the rows n0-1..n1-1 of P:
 one power per entry, where evaluating each weight on its own takes four.
 `solve` asks for one block of _BLOCK rows at a time, and only for the
-columns of its exact window (see scheme), which keeps only a _BLOCK x
-(window + _BLOCK) slice of the table alive; the full (N+1, N+1) table is
-stacked from the same blocks.  The closed form subtracts nearly equal
-powers when k_s << t_n, so on strongly graded meshes rounding can leave a
-weight nonpositive; `compute_weights` then raises ValueError rather than
-return the rows, as it does for a non-finite weight (levels so large that
-their powers overflow).
+columns of the block before it (its exact window, see scheme) and its
+own; the full (N+1, N+1) table stacks the same blocks.  The closed form
+subtracts nearly equal powers when k_s << t_n, so on strongly graded
+meshes rounding can leave a weight nonpositive; `compute_weights` then
+raises ValueError rather than return the rows, as it does for a
+non-finite weight (levels so large that their powers overflow).
 
 Pairs (n, s) older than the window go through a sum of exponentials
 (SOE) instead (the fast convolution of Jiang, Zhang, Zhang & Zhang,
@@ -60,8 +59,9 @@ relative.  Putting the modes into the double integral that defines w_ns
     w_ns = sum_j omega_j F_j(k_n, 0) F_j(k_s, t_{n-1} - t_s),
     F_j(k, lag) = -expm1(-lam_j k) / (lam_j k) * exp(-lam_j lag),
 
-the factors `_soe_factors` builds.  Every F lies in (0, 1], so nothing
-overflows, and these weights do not cancel.
+the factors `_soe_factors` builds.  Every F lies in [0, 1], so nothing
+overflows, and these weights do not cancel; an F is 0 only where
+exp(-lam_j lag) underflows (lam_j lag > 745), its correct rounding.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from .mesh import TemporalMesh
 __all__ = ["compute_weights"]
 
 
-_BLOCK = 64  # rows per weight block: the step block of solve's history sum
+_BLOCK = 64  # rows per weight block: the step block of solve's history sum, and its window
 _SOE_NODES = 8  # Gauss-Jacobi nodes on [0, 1/T], and Gauss-Legendre nodes per dyadic panel
 _SOE_CUTOFF = 45.0  # the panels end at 45/delta, where exp(-s delta) < 3e-20
 
@@ -204,7 +204,7 @@ def _soe_modes(alpha: float, T: float, delta: float) -> Tuple[np.ndarray, np.nda
 
 
 def _soe_factors(lam: np.ndarray, k: np.ndarray, lag: np.ndarray) -> np.ndarray:
-    """F[i, j] = -expm1(-lam_j k_i) / (lam_j k_i) * exp(-lam_j lag_i), each in (0, 1]:
+    """F[i, j] = -expm1(-lam_j k_i) / (lam_j k_i) * exp(-lam_j lag_i), each in [0, 1]:
     the factor of one interval of length k_i whose end lies lag_i >= 0 before
     the reference time (module docstring)."""
     x = np.multiply.outer(k, lam)

@@ -24,31 +24,28 @@ problems.f_half).
 
 The history H_n sums over every earlier step, a block of _BLOCK steps
 at a time (the lag-sum splitting of Hairer, Lubich & Schlichte, SIAM J.
-Sci. Stat. Comput. 6, 1985).  Row s of the d table holds k_s d_s, so the
-weights enter exactly as quadrature returns them; the rows of steps not
-yet taken hold their partial history until the step finishes and
-overwrites its row with its own k_n d_n.
+Sci. Stat. Comput. 6, 1985), in O(N (_BLOCK + modes) J) flops and
+O((3 _BLOCK + modes) J) memory.  Alive are one block of weights
+(_BLOCK x 2 _BLOCK) and the rows k_s d_s of three blocks, in a ring d of
+(_BLOCK, J+1) slots, block i in slot i mod 3.  The rows hold k_s d_s so
+that the weights enter exactly as quadrature returns them; the rows of
+steps not yet taken hold their partial history until the step finishes
+and overwrites its row with its own k_n d_n.
 
-  - Block: when a block [b0, b1) of _BLOCK steps starts, the far part of
-    the history of all its steps, the terms s < b0, is written into the
-    rows b0..b1-1 of the d table.  Its exact window, the terms
-    c0 <= s < b0 with c0 = max(1, b0 - _WINDOW), is one matrix product
-    with the block's rows of the weight table, built for the columns
-    c0..b1-1 only (see quadrature).  Its tail, the terms s < c0, goes
-    through the sum-of-exponentials (SOE) modes of the kernel (see
-    quadrature): a state z, one row per mode, holds the tail at t_{b0-1}.
-    Per block z decays from the last block's t_{b0-1} and takes the rows
-    that just left the window (one matrix product), and one more product
-    adds its value into the block's rows.  The modes are built once per
-    solve, for the lags from the smallest t_{b0-1} - t_{c0-1} of the
-    mesh's tail blocks up to T.  A solve with N <= _WINDOW + _BLOCK has
-    no tail: it builds no modes and sums every step exactly.
+  - Block: when block i, the steps [b0, b1), starts, the far part of the
+    history of all its steps, s < b0, is written into its slot.  Its exact
+    window, block i-1 (c0 <= s < b0, c0 = b0 - _BLOCK), is one matrix
+    product with the block's rows of the weight table, built for the
+    columns c0..b1-1 only (see quadrature).  Its tail, s < c0, goes through
+    the sum-of-exponentials (SOE) modes of the kernel (see quadrature): a
+    state z, one row per mode, holds the tail at t_{b0-1}.  Per block z
+    decays from the last block's t_{b0-1} and takes block i-2, which just
+    left the window and so frees its slot (one matrix product); one more
+    product adds z into block i's slot.  The modes are built once per
+    solve, for the lags from the smallest t_{b0-1} - t_{c0-1} of the tail
+    blocks up to T.  With N <= 2 _BLOCK there is no tail and no modes.
   - Step: step n adds its near part, the at most _BLOCK - 1 terms
-    b0 <= s < n, to row n, which then holds H_n.
-
-Only one block of weight rows, _BLOCK x (_WINDOW + _BLOCK) at most, is
-alive at a time; the whole (N+1)^2 table is never built, and the history
-costs O(N (_WINDOW + modes) J) flops, not O(N^2 J).
+    b0 <= s < n, to its row, which then holds H_n.
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
@@ -104,7 +101,6 @@ __all__ = [
 
 _STABILITY_SLACK = 1e-9
 _BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L, t) = 0
-_WINDOW = 512  # steps of exact history behind each block; a multiple of _BLOCK
 
 
 class NonconvergenceError(RuntimeError):
@@ -276,17 +272,17 @@ def solve(
     u_prev[[0, -1]] = 0.0
     u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
-    # row s: k_s times d2 of the unknown of step s; rows of steps not yet taken hold their history
-    d = np.zeros((mesh.N + 1, grid.J + 1))
-    # the first block before the forcing: bad weights fail first
-    b0, c0 = 1, 1  # the block's first step and the first column of its exact window
-    near = w = compute_weights(mesh, alpha, (1, min(1 + _BLOCK, mesh.N + 1)), first_col=1)
     t, k = mesh.t, mesh.k
     starts = np.arange(1, mesh.N + 1, _BLOCK)
-    tail = starts[starts > _WINDOW + 1]  # blocks with steps s < c0 = b0 - _WINDOW
+    # row r of slot i % len(d): k_s d2(V_s), s = b0 + r in block i, or its history until step s
+    d = np.zeros((min(3, starts.size), min(_BLOCK, mesh.N), grid.J + 1))
+    # the first block before the forcing: bad weights fail first
+    b0, rows = 1, d[0]  # the block's first step and its slot
+    near = w = compute_weights(mesh, alpha, (1, min(1 + _BLOCK, mesh.N + 1)), first_col=1)
+    tail = starts[starts > 2 * _BLOCK]  # blocks with steps s < c0 = b0 - _BLOCK
     if tail.size:
         # the smallest lag t_{n-1} - t_s of a tail pair, s < c0 <= b0 <= n
-        lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - _WINDOW - 1])))
+        lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - _BLOCK - 1])))
         z = np.zeros((lam.size, grid.J + 1))  # the tail state at t_{b0-1}, one row per mode
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
@@ -300,29 +296,32 @@ def solve(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, mesh.N + 1):
             if n == b0 + len(w):  # next block: the far history of all its steps
-                c_prev, b0, b1 = c0, n, min(n + _BLOCK, mesh.N + 1)
-                c0 = max(1, b0 - _WINDOW)
+                b0, b1 = n, min(n + _BLOCK, mesh.N + 1)
+                c0, i = b0 - _BLOCK, (b0 - 1) // _BLOCK  # the window is block i - 1, whole
                 w = compute_weights(mesh, alpha, (b0, b1), first_col=c0)
-                near = w[:, b0 - c0 :]  # columns b0..b1-1
-                np.matmul(w[:, : b0 - c0], d[c0:b0], out=d[b0:b1])  # the window, exact
-                if c0 > 1:  # the tail: decay z to t_{b0-1}, then add the rows that left the window
-                    z *= np.exp(-lam * (t[b0 - 1] - t[b0 - 1 - _BLOCK]))[:, None]
-                    e = _soe_factors(lam, k[c_prev - 1 : c0 - 1], t[b0 - 1] - t[c_prev:c0]).T
+                near = w[:, _BLOCK:]  # columns b0..b1-1
+                rows = d[i % len(d), : b1 - b0]
+                np.matmul(w[:, :_BLOCK], d[(i - 1) % len(d)], out=rows)  # the window, exact
+                if c0 > 1:  # tail: decay z to t_{b0-1}, add block i - 2 (just left the window)
+                    z *= np.exp(-lam * (t[b0 - 1] - t[c0 - 1]))[:, None]
+                    p0 = c0 - _BLOCK  # block i - 2: steps p0..c0-1
+                    e = _soe_factors(lam, k[p0 - 1 : c0 - 1], t[b0 - 1] - t[p0:c0]).T
                     g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
-                    z += e @ d[c_prev:c0]
-                    d[b0:b1] += g @ z
+                    z += e @ d[(i - 2) % len(d)]
+                    rows += g @ z
             kn = float(mesh.k[n - 1])
             a = (1.0 if n == 1 else 2.0) / kn
             fh = factors[n - 1] @ profiles
-            d[n] += near[n - b0, : n - b0] @ d[b0:n]  # near history: d[n] now holds H_n
-            rhs_base = a * u_prev[1:-1] + d[n, 1:-1] + fh[1:-1]
-            c = near[n - b0, n - b0] * kn / (h * h)
+            r = n - b0
+            rows[r] += near[r, :r] @ rows[:r]  # near history: rows[r] now holds H_n
+            rhs_base = a * u_prev[1:-1] + rows[r, 1:-1] + fh[1:-1]
+            c = near[r, r] * kn / (h * h)
             v, passes, increment = _picard(a, c, rhs_base, u_prev, h, config, step=n)
             u_new = v if n == 1 else 2.0 * v - u_prev
 
             forcing_budget += 2.0 * kn * norm_l2(fh, h)
             margin = _check_stability(u0_norm + forcing_budget, u_new, h, step=n)
-            d[n] = kn * second_diff_values(v, h)
+            rows[r] = kn * second_diff_values(v, h)
             u_prev = u_new
             reports.append(StepReport(n, passes, increment, margin))
             if trajectory is not None:

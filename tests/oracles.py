@@ -181,6 +181,41 @@ def weights_row_loop(mesh, alpha: float) -> np.ndarray:
     return w
 
 
+def spliced_weights(mesh, alpha: float, block: int) -> np.ndarray:
+    """The (N+1, N+1) weight table the blocked history of solve applies.
+
+    Row n of the block [b0, b1) of `block` steps that holds it takes the
+    closed form of weights_row_loop for the columns c0 <= s <= n, c0 =
+    max(1, b0 - block), and for s < c0 the sum of exponentials
+
+        w_ns = sum_j omega_j F_j(k_n, 0) F_j(k_s, t_{n-1} - t_s),
+        F_j(k, lag) = -expm1(-lam_j k) / (lam_j k) * exp(-lam_j lag),
+
+    with the package's modes for the smallest such lag of the mesh, each
+    weight evaluated on its own rather than through a decayed state.
+    """
+    from memburgers.quadrature import _soe_modes
+
+    w = weights_row_loop(mesh, alpha)
+    t, k, N = mesh.t, mesh.k, mesh.N
+    starts = np.arange(1, N + 1, block)
+    tail = starts[starts > 2 * block]
+    if not tail.size:
+        return w
+    lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - block - 1])))
+
+    def factor(k_, lag):
+        x = np.multiply.outer(k_, lam)
+        return -np.expm1(-x) / x * np.exp(-np.multiply.outer(lag, lam))
+
+    for b0 in tail:
+        c0 = b0 - block
+        for n in range(b0, min(b0 + block, N + 1)):
+            s = np.arange(1, c0)
+            w[n, 1:c0] = factor(k[s - 1], t[n - 1] - t[s]) @ (omega * factor(k[n - 1], 0.0))
+    return w
+
+
 def memory_integral_quadrature(fn, alpha: float, t: float) -> float:
     """Adaptive quadrature of int_0^t (t-z)**(alpha-1)/Gamma(alpha) fn(z) dz."""
     val, _ = quad(fn, 0.0, t, weight="alg", wvar=(0.0, alpha - 1.0), limit=400)

@@ -330,12 +330,12 @@ def test_nonconvergence_exits_1(capsys):
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):
-    # --N 100000 --J 100000 would ask for a 74.5 GiB d table; the refused
+    # --J 1000000000000000 would ask for a 7.11 PiB grid; the refused
     # allocation is simulated by the first weight block of a small solve,
     # never made
     def refuse(mesh, alpha, rows, first_col):
-        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
-                          "(100001, 100001) and data type float64")
+        raise MemoryError("Unable to allocate 7.11 PiB for an array with shape "
+                          "(1000000000000001,) and data type float64")
 
     monkeypatch.setattr(scheme, "compute_weights", refuse)
     code = main(
@@ -346,8 +346,8 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        "memburgers: out of memory: Unable to allocate 74.5 GiB for an array with "
-        "shape (100001, 100001) and data type float64\n"
+        "memburgers: out of memory: Unable to allocate 7.11 PiB for an array with "
+        "shape (1000000000000001,) and data type float64\n"
     )
 
 
@@ -445,10 +445,11 @@ def _package_env():
 
 def test_nonpositive_weights_exit_2_under_optimize():
     # the weight check must not be an assert: under -O it would vanish and
-    # the solve would print an error from nonpositive weights
+    # the solve would print an error from nonpositive weights (w[65, 1]
+    # cancels to 0 on this mesh; with N <= 2 _BLOCK every weight is exact)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "memburgers.cli", "solve", "--example", "1",
-         "--alpha", "0.25", "--gamma", "6", "--N", "512", "--J", "64"],
+         "--alpha", "0.25", "--gamma", "8", "--N", "128", "--J", "64"],
         capture_output=True,
         text=True,
         env=_package_env(),

@@ -9,7 +9,6 @@ import pytest
 
 from memburgers.mesh import TemporalMesh, build_graded_mesh
 from memburgers.quadrature import _BLOCK, _soe_factors, _soe_modes, compute_weights
-from memburgers.scheme import _WINDOW
 
 from oracles import weight_by_quadrature, weights_row_loop
 
@@ -160,12 +159,14 @@ def test_row_range_is_slice_of_full_table(rows):
     assert np.array_equal(block, full[n0:n1, :n1])
 
 
-@pytest.mark.parametrize("rows", [(_WINDOW + 1, _WINDOW + _BLOCK + 1), (_WINDOW + _BLOCK + 1, 701),
-                                  (600, 690)])
-@pytest.mark.parametrize("window", [None, _WINDOW, 0])
+@pytest.mark.parametrize(
+    "rows", [(8 * _BLOCK + 1, 9 * _BLOCK + 1), (9 * _BLOCK + 1, 701), (600, 690)]
+)
+@pytest.mark.parametrize("window", [None, 512, _BLOCK, 0])
 def test_first_column_is_slice_of_full_table(rows, window):
-    # solve asks for the columns c0..n1-1 of its exact window only:
-    # c0 = 1, c0 = n0 - _WINDOW and c0 = n0 (the near square alone)
+    # solve asks for the columns c0..n1-1 of its exact window only, the
+    # block before: c0 = n0 - _BLOCK; also c0 = 1, a wider window
+    # c0 = n0 - 512, and c0 = n0 (the near square alone)
     mesh = build_graded_mesh(2.0, 700, 1.7)
     full = compute_weights(mesh, 0.35)
     n0, n1 = rows
@@ -239,19 +240,23 @@ def _weight_mpmath(mesh, n, s, alpha):
 
 
 def _assert_tail_weights_match_mpmath(mesh, alpha):
-    # far pairs s < c0 = b0 - _WINDOW of the first and the last tail block,
+    # far pairs s < c0 = b0 - _BLOCK of the first and the last tail block,
     # with delta taken from the mesh as solve does; pytest turns any
-    # RuntimeWarning into an error
+    # RuntimeWarning into an error.  A factor is 0 only where its
+    # exp(-lam lag) underflows, so every F lies in [0, 1] and is positive
+    # wherever lam lag < 700
     t, k = mesh.t, mesh.k
     starts = np.arange(1, mesh.N + 1, _BLOCK)
-    tail = starts[starts > _WINDOW + 1]
-    lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - _WINDOW - 1])))
+    tail = starts[starts > 2 * _BLOCK]
+    lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - _BLOCK - 1])))
     for b0 in (tail[0], tail[-1]):
-        b1, c0 = min(b0 + _BLOCK, mesh.N + 1), b0 - _WINDOW
-        rows = _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
-        cols = _soe_factors(lam, k[: c0 - 1], t[b0 - 1] - t[1:c0])
-        for f in (rows, cols):
-            assert np.all(f > 0.0) and np.all(f <= 1.0)
+        b1, c0 = min(b0 + _BLOCK, mesh.N + 1), b0 - _BLOCK
+        row_lag, col_lag = t[b0 - 1 : b1 - 1] - t[b0 - 1], t[b0 - 1] - t[1:c0]
+        rows = _soe_factors(lam, k[b0 - 1 : b1 - 1], row_lag)
+        cols = _soe_factors(lam, k[: c0 - 1], col_lag)
+        for f, lag in ((rows, row_lag), (cols, col_lag)):
+            assert np.all(f >= 0.0) and np.all(f <= 1.0)
+            assert np.all(f[np.multiply.outer(lag, lam) < 700.0] > 0.0)
         w = (omega * rows) @ cols.T
         for n in (b0, b1 - 1):
             for s in (1, 2, c0 // 2, c0 - 1):

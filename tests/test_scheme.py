@@ -24,7 +24,7 @@ from memburgers.scheme import (
     solve,
 )
 
-from oracles import dense_trajectory, f_half_reference
+from oracles import dense_trajectory, f_half_reference, spliced_weights, weights_row_loop
 
 
 def _zero_problem(alpha=0.5):
@@ -133,13 +133,14 @@ def test_full_solve_matches_dense_oracle():
 
 @pytest.mark.parametrize("n_steps", [
     1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 1,
-    scheme._WINDOW + _BLOCK + 1, scheme._WINDOW + 2 * _BLOCK + 1,
+    9 * _BLOCK + 1, 10 * _BLOCK + 1,
 ])
 def test_block_boundaries_match_dense_oracle(n_steps):
-    # the history is summed a block of _BLOCK steps at a time (far part by
-    # one GEMM, steps older than the window through the SOE tail), then per
-    # step; steps on either side of each block boundary, and the first two
-    # tail blocks, must agree with the oracle, which sums it term by term
+    # the history is summed a block of _BLOCK steps at a time (the block
+    # before by one GEMM, older blocks through the SOE tail from the third
+    # block on), then per step; steps on either side of each block boundary,
+    # the first tail block, and solves whose ring of three slots has turned
+    # over many times must agree with the oracle, which sums it term by term
     alpha = 0.4
     problem = example1(alpha)
     mesh = build_graded_mesh(1.0, n_steps, 2.0 / (alpha + 1.0))
@@ -152,10 +153,12 @@ def test_block_boundaries_match_dense_oracle(n_steps):
 
 def test_solve_never_builds_the_full_weight_table():
     # the weights are built one block of rows at a time; the whole
-    # (N+1)^2 table would be 33.6 MB here
-    n_steps = 2048
+    # (N+1)^2 table would be 33.6 MB here.  The rows k_s d2(V_s) live in a
+    # ring of three (_BLOCK, J+1) slots (0.8 MB), never in an (N+1, J+1)
+    # table (8.4 MB); the solve peaks near 2.3 MB in all
+    n_steps, n_nodes = 2048, 512
     mesh = build_graded_mesh(1.0, n_steps, 1.0)
-    grid = build_spatial_grid(1.0, 8)
+    grid = build_spatial_grid(1.0, n_nodes)
     tracemalloc.start()
     try:
         solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
@@ -163,19 +166,23 @@ def test_solve_never_builds_the_full_weight_table():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * (n_steps + 1) ** 2 * 8
+    assert peak < 0.5 * (n_steps + 1) * (n_nodes + 1) * 8
 
 
-@pytest.mark.parametrize("window", [scheme._WINDOW, 2 * _BLOCK, _BLOCK])
-def test_soe_tail_matches_exact_history(window, monkeypatch):
-    # steps older than the window enter the history through the SOE modes;
-    # with the window above N every step is summed exactly
+@pytest.mark.parametrize("n_steps", [2 * _BLOCK + 1, 3 * _BLOCK + 1, 5 * _BLOCK + 1])
+def test_soe_tail_matches_exact_history(n_steps, monkeypatch):
+    # from the third block on, steps older than the block before enter the
+    # history through the SOE modes; the dense oracle sums every step
+    # exactly, and so does the solve whose one block holds all N steps
     alpha = 0.5
     problem = example1(alpha)
-    mesh = build_graded_mesh(1.0, 1024, 2.0 / (alpha + 1.0))
-    grid = build_spatial_grid(1.0, 16)
-    monkeypatch.setattr(scheme, "_WINDOW", window)
+    mesh = build_graded_mesh(1.0, n_steps, 2.0 / (alpha + 1.0))
+    grid = build_spatial_grid(1.0, 8)
+    reference = np.array(dense_trajectory(problem, mesh, grid, alpha, "endpoint_average"))
+    tight = solve(problem, mesh, grid, alpha, SchemeConfig(eps=1e-12), keep_trajectory=True)
+    assert np.max(np.abs(tight.trajectory - reference)) <= 1e-10 * np.max(np.abs(reference))
     tail = solve(problem, mesh, grid, alpha, SchemeConfig())
-    monkeypatch.setattr(scheme, "_WINDOW", 2 * mesh.N)
+    monkeypatch.setattr(scheme, "_BLOCK", n_steps)
     exact = solve(problem, mesh, grid, alpha, SchemeConfig())
     assert [r.iterations for r in tail.reports] == [r.iterations for r in exact.reports]
     gap = np.max(np.abs(tail.final.values - exact.final.values))
@@ -184,13 +191,13 @@ def test_soe_tail_matches_exact_history(window, monkeypatch):
 
 
 @pytest.mark.parametrize("n_steps", [
-    1, scheme._WINDOW + _BLOCK, scheme._WINDOW + _BLOCK + 1,
-    scheme._WINDOW + 2 * _BLOCK, scheme._WINDOW + 2 * _BLOCK + 1,
+    1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK, 3 * _BLOCK + 1,
+    9 * _BLOCK, 9 * _BLOCK + 1, 10 * _BLOCK, 10 * _BLOCK + 1,
 ])
 def test_soe_modes_built_only_with_a_tail(n_steps, monkeypatch):
-    # a solve whose blocks all lie within the window of their first step
-    # (N <= 576) sums every step exactly and builds no modes; one with
-    # tail blocks builds them once, however many such blocks it has
+    # a solve of at most two blocks (N <= 2 _BLOCK) sums every step exactly
+    # and builds no modes; one with tail blocks builds them once, however
+    # many such blocks it has
     calls, soe_modes = [], scheme._soe_modes
 
     def counted(*args):
@@ -200,7 +207,29 @@ def test_soe_modes_built_only_with_a_tail(n_steps, monkeypatch):
     monkeypatch.setattr(scheme, "_soe_modes", counted)
     mesh = build_graded_mesh(1.0, n_steps, 1.0)
     solve(example1(0.5), mesh, build_spatial_grid(1.0, 4), 0.5, SchemeConfig())
-    assert len(calls) == (n_steps > scheme._WINDOW + _BLOCK)
+    assert len(calls) == (n_steps > 2 * _BLOCK)
+
+
+def _pairing_spectrum(mesh, w):
+    """Smallest and largest eigenvalue of the symmetrised pairing k_n w_ns k_s."""
+    m = mesh.k[:, None] * w[1:, 1:] * mesh.k[None, :]
+    eig = np.linalg.eigvalsh(0.5 * (m + m.T))
+    return eig[0], eig[-1]
+
+
+@pytest.mark.parametrize("alpha,grading,n_steps", [
+    (0.25, 1.6, 1024), (0.5, 4.0 / 3.0, 512), (0.75, 1.0, 300), (0.9, 2.5, 700), (0.05, 1.0, 400),
+])
+def test_spliced_memory_pairing_is_positive_semidefinite(alpha, grading, n_steps):
+    # the energy bound rests on the memory pairing being positive
+    # semidefinite; the solve pairs exact near and window weights with SOE
+    # weights for older steps, and that spliced matrix must keep the
+    # smallest eigenvalue of the exact one
+    mesh = build_graded_mesh(1.0, n_steps, grading)
+    low, top = _pairing_spectrum(mesh, spliced_weights(mesh, alpha, _BLOCK))
+    low_exact, _ = _pairing_spectrum(mesh, weights_row_loop(mesh, alpha))
+    assert low >= -1e-14 * top
+    assert abs(low - low_exact) <= 1e-12 * top
 
 
 def test_nonconvergence_reports_failing_step():
