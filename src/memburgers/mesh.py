@@ -159,8 +159,7 @@ def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
     if not 1.0 <= gamma < math.inf:
         raise ValueError(f"build_graded_mesh: gamma must be finite and >= 1, got {gamma}")
 
-    t = (np.arange(N + 1, dtype=float) * (T ** (1.0 / gamma) / N)) ** gamma
-    t[0] = 0.0
+    t = (np.arange(N + 1, dtype=float) * (T ** (1.0 / gamma) / N)) ** gamma  # level 0: 0.0**gamma = 0
     t[N] = T  # exact endpoint; the power form matches it to roundoff anyway
     if not t[1] > 0.0:
         lost = int(np.count_nonzero(t[1:N] == 0.0))
@@ -179,7 +178,7 @@ def build_spatial_grid(L: float, J: int) -> SpatialGrid:
 def check_mesh_hypotheses(mesh: TemporalMesh) -> MeshHypothesesReport:
     """Check the grading hypotheses (H1)-(H3) for one mesh; see module docstring."""
     t, k = mesh.t, mesh.k
-    kb, gamma, N = mesh.k_base, mesh.gamma, mesh.N
+    kb, gamma = mesh.k_base, mesh.gamma
 
     # (H1): k_n <= C * kb * min(1, t_n^(1 - 1/gamma)), n = 1..N
     cap1 = np.minimum(1.0, t[1:] ** (1.0 - 1.0 / gamma))
@@ -187,28 +186,22 @@ def check_mesh_hypotheses(mesh: TemporalMesh) -> MeshHypothesesReport:
     step_bound_ok = bool(np.all(np.isfinite(step_bound)) and np.all(k > 0.0))
     step_bound_const = float(np.max(step_bound))
 
-    # (H2): t_1 >= c * kb^gamma and t_n <= C * t_{n-1} for n >= 2
+    # (H2): t_1 >= c * kb^gamma and t_n <= C * t_{n-1} for n >= 2; with
+    # N = 1 there is no such n, and C = 1
     initial_level_const = float(t[1] / kb**gamma)
-    if N >= 2:
-        growth = t[2:] / t[1:-1]
-        level_growth_ok = bool(np.all(np.isfinite(growth)))
-        level_growth_const = float(np.max(growth))
-    else:
-        level_growth_ok = True
-        level_growth_const = 1.0
+    growth = t[2:] / t[1:-1]
+    level_growth_ok = bool(np.all(np.isfinite(growth)))
+    level_growth_const = float(np.max(growth, initial=1.0))
 
     # (H3): 0 <= k_{n+1} - k_n <= C * kb^2 * min(1, t_n^(1 - 2/gamma)).
     # The sign half is checked for every consecutive pair: that is what the
     # power-law meshes satisfy and what a non-monotone hand-built mesh breaks.
-    if N >= 2:
-        dk = np.diff(k)
-        tol = _STEP_TOL * float(np.max(k))
-        monotone_steps_ok = bool(np.all(dk >= -tol))
-        cap3 = np.minimum(1.0, t[1:-1] ** (1.0 - 2.0 / gamma))
-        step_increase_const = float(np.max(np.maximum(dk, 0.0) / (kb**2 * cap3)))
-    else:
-        monotone_steps_ok = True
-        step_increase_const = 0.0
+    # With N = 1 there is no pair, and C = 0.
+    dk = np.diff(k)
+    tol = _STEP_TOL * float(np.max(k))
+    monotone_steps_ok = bool(np.all(dk >= -tol))
+    cap3 = np.minimum(1.0, t[1:-1] ** (1.0 - 2.0 / gamma))
+    step_increase_const = float(np.max(np.maximum(dk, 0.0) / (kb**2 * cap3), initial=0.0))
 
     return MeshHypothesesReport(
         step_bound_ok=step_bound_ok,

@@ -42,7 +42,8 @@ own; the full (N+1, N+1) table stacks the same blocks.  The closed form
 subtracts nearly equal powers when k_s << t_n, so on strongly graded
 meshes rounding can leave a weight nonpositive; `compute_weights` then
 raises ValueError rather than return the rows, as it does for a
-non-finite weight (levels so large that their powers overflow).
+non-finite weight (levels so large that their powers overflow) and for
+steps so small that their powers underflow (are subnormal or 0).
 
 Pairs (n, s) older than the window go through a sum of exponentials
 (SOE) instead (the fast convolution of Jiang, Zhang, Zhang & Zhang,
@@ -86,7 +87,7 @@ def compute_weights(
     mesh: TemporalMesh,
     alpha: float,
     rows: Optional[Tuple[int, int]] = None,
-    first_col: int = 0,
+    first_col: int = 1,
 ) -> np.ndarray:
     """Evaluate the product-integration weights in closed form.
 
@@ -94,8 +95,8 @@ def compute_weights(
     1 <= s <= n <= N; row and column 0 are unused, kept so the indices
     match the math, and every entry outside that triangle is zero.  With
     rows = (n0, n1), 1 <= n0 < n1 <= N + 1, returns only w[n0:n1, c0:n1],
-    c0 = first_col with 0 <= c0 <= n0, bit for bit the same numbers;
-    without rows, first_col must be 0.
+    c0 = first_col with 1 <= c0 <= n0, bit for bit the same numbers;
+    without rows, first_col must be 1.
     Requires 0 < alpha < 1.  Cost is O(N^2), one power per entry; no
     quadrature is involved.
     """
@@ -103,14 +104,14 @@ def compute_weights(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"compute_weights: alpha must be in (0, 1), got {alpha}")
     N = mesh.N
-    n0, n1 = (0, N + 1) if rows is None else rows  # no rows: n0 = 0 admits only first_col = 0
+    n0, n1 = (1, N + 1) if rows is None else rows  # no rows: n0 = 1 admits only first_col = 1
     if rows is not None and not 1 <= n0 < n1 <= N + 1:
         raise ValueError(
             f"compute_weights: rows must satisfy 1 <= n0 < n1 <= N + 1 = {N + 1}, got {rows}"
         )
-    if not 0 <= first_col <= n0:
+    if not 1 <= first_col <= n0:
         raise ValueError(
-            f"compute_weights: first_col must satisfy 0 <= first_col <= n0 = {n0}, "
+            f"compute_weights: first_col must satisfy 1 <= first_col <= n0 = {n0}, "
             f"got {first_col}"
         )
     if rows is not None:
@@ -118,47 +119,50 @@ def compute_weights(
     w = np.zeros((N + 1, N + 1))
     for n0 in range(1, N + 1, _BLOCK):
         n1 = min(n0 + _BLOCK, N + 1)
-        w[n0:n1, :n1] = _weight_rows(mesh, alpha, n0, n1, 0)
+        w[n0:n1, 1:n1] = _weight_rows(mesh, alpha, n0, n1, 1)
     return w
 
 
 def _weight_rows(mesh: TemporalMesh, alpha: float, n0: int, n1: int, c0: int) -> np.ndarray:
-    """w[n0:n1, c0:n1] as the mixed second difference of P (module docstring).
+    """w[n0:n1, c0:n1], c0 >= 1, as the mixed second difference of P (module docstring).
 
     Works in place: at most P and one array of its size are alive at once.
-    Raises ValueError at the first row holding a weight, among the columns
-    returned, that is not positive and finite.
+    Raises ValueError if the powers of the columns' steps underflow, and at
+    the first row holding a weight, among the columns returned, that is not
+    positive and finite.
     """
     t, k = mesh.t, mesh.k
     g2 = math.gamma(alpha + 2.0)
-    lo = max(c0 - 1, 0)  # P's first column; weight column s needs P's columns s-1 and s
     # huge levels overflow the powers; the row check below names the result
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.subtract.outer(t[n0 - 1 : n1], t[lo:n1])  # p[i, j] = P[n0 - 1 + i, lo + j]
+        smallest = np.min(k[c0 - 1 : n1 - 1]) ** (alpha + 1.0)
+        if smallest < np.finfo(float).tiny:
+            raise ValueError(
+                f"compute_weights: the powers of the mesh steps underflow in rows "
+                f"{n0}..{n1 - 1} (smallest {smallest:.3e}), so the weights would be wrong"
+            )
+        # p[i, j] = P[n0 - 1 + i, c0 - 1 + j]; weight column s needs P's columns s-1 and s
+        p = np.subtract.outer(t[n0 - 1 : n1], t[c0 - 1 : n1])
         np.maximum(p, 0.0, out=p)
         np.power(p, alpha + 1.0, out=p)
-        q = np.empty_like(p)
-        np.subtract(p[:, :-1], p[:, 1:], out=q[:, 1:])  # q[i, j] = P[., s-1] - P[., s], s = lo + j
-        w = p[:-1]  # P's own rows are no longer needed
-        w[:, 0] = 0.0
-        np.subtract(q[1:, 1:], q[:-1, 1:], out=w[:, 1:])
+        q = p[:, :-1] - p[:, 1:]  # q[i, j] = P[., s-1] - P[., s], s = c0 + j
+        w = p[:-1, 1:]  # P's own rows are no longer needed; column j: s = c0 + j
+        np.subtract(q[1:], q[:-1], out=w)
         del q
-        w[:, 1:] /= k[lo : n1 - 1]
+        w /= k[c0 - 1 : n1 - 1]
         w /= (k[n0 - 1 : n1 - 1] * g2)[:, None]
         diagonal = k[n0 - 1 : n1 - 1] ** (alpha - 1.0) / g2
-    near = w[:, n0 - lo :]  # columns n0..n1-1: square, with the diagonal on its own
+    near = w[:, n0 - c0 :]  # columns n0..n1-1: square, with the diagonal on its own
     near[np.triu_indices(n1 - n0, 1)] = 0.0
     np.fill_diagonal(near, diagonal)
-    w = w[:, c0 - lo :]  # column j: s = c0 + j
 
-    first = max(c0, 1)  # column 0 of the table holds no weight
     ok = w > 0.0
     ok &= w < math.inf
-    # row n holds the weights of columns first..n; every other entry is zero
-    bad = np.flatnonzero(np.count_nonzero(ok, axis=1) != np.arange(n0, n1) - first + 1)
+    # row n holds the weights of columns c0..n; every other entry is zero
+    bad = np.flatnonzero(np.count_nonzero(ok, axis=1) != np.arange(n0, n1) - c0 + 1)
     if bad.size:
         n = n0 + int(bad[0])
-        row = w[n - n0, first - c0 : n - c0 + 1]
+        row = w[n - n0, : n - c0 + 1]
         if not np.all(np.isfinite(row)):
             raise ValueError(
                 f"compute_weights: non-finite weight in row {n}; the powers of the "

@@ -32,9 +32,10 @@ that the weights enter exactly as quadrature returns them; the rows of
 steps not yet taken hold their partial history until the step finishes
 and overwrites its row with its own k_n d_n.
 
-  - Block: when block i, the steps [b0, b1), starts, the far part of the
-    history of all its steps, s < b0, is written into its slot.  Its exact
-    window, block i-1 (c0 <= s < b0, c0 = b0 - _BLOCK), is one matrix
+  - Block phase, at the top of solve's outer loop: when block i, the
+    steps [b0, b1), starts, the far part of the history of all its steps,
+    s < b0, is written into its slot.  Its exact window, block i-1
+    (c0 <= s < b0, c0 = b0 - _BLOCK; empty for block 0), is one matrix
     product with the block's rows of the weight table, built for the
     columns c0..b1-1 only (see quadrature).  Its tail, s < c0, goes through
     the sum-of-exponentials (SOE) modes of the kernel (see quadrature): a
@@ -44,8 +45,9 @@ and overwrites its row with its own k_n d_n.
     product adds z into block i's slot.  The modes are built once per
     solve, for the lags from the smallest t_{b0-1} - t_{c0-1} of the tail
     blocks up to T.  With N <= 2 _BLOCK there is no tail and no modes.
-  - Step: step n adds its near part, the at most _BLOCK - 1 terms
-    b0 <= s < n, to its row, which then holds H_n.
+  - Step phase, the inner loop over the block's steps: step n adds its
+    near part, the at most _BLOCK - 1 terms b0 <= s < n, to its row,
+    which then holds H_n.
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
@@ -273,13 +275,12 @@ def solve(
     u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     t, k = mesh.t, mesh.k
-    starts = np.arange(1, mesh.N + 1, _BLOCK)
+    starts = range(1, mesh.N + 1, _BLOCK)  # the blocks' first steps
     # row r of slot i % len(d): k_s d2(V_s), s = b0 + r in block i, or its history until step s
-    d = np.zeros((min(3, starts.size), min(_BLOCK, mesh.N), grid.J + 1))
-    # the first block before the forcing: bad weights fail first
-    b0, rows = 1, d[0]  # the block's first step and its slot
-    near = w = compute_weights(mesh, alpha, (1, min(1 + _BLOCK, mesh.N + 1)), first_col=1)
-    tail = starts[starts > 2 * _BLOCK]  # blocks with steps s < c0 = b0 - _BLOCK
+    d = np.zeros((min(3, len(starts)), min(_BLOCK, mesh.N), grid.J + 1))
+    # the first block's weights before the forcing: bad weights fail first
+    w = compute_weights(mesh, alpha, (1, min(1 + _BLOCK, mesh.N + 1)), first_col=1)
+    tail = np.asarray(starts[2:])  # blocks with steps s < c0 = b0 - _BLOCK
     if tail.size:
         # the smallest lag t_{n-1} - t_s of a tail pair, s < c0 <= b0 <= n
         lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - _BLOCK - 1])))
@@ -294,38 +295,38 @@ def solve(
     # a diverging iterate overflows quietly here: its increment is not
     # finite, which _picard reports as NonconvergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, mesh.N + 1):
-            if n == b0 + len(w):  # next block: the far history of all its steps
-                b0, b1 = n, min(n + _BLOCK, mesh.N + 1)
-                c0, i = b0 - _BLOCK, (b0 - 1) // _BLOCK  # the window is block i - 1, whole
+        for i, b0 in enumerate(starts):  # block i: the far history of all its steps
+            b1 = min(b0 + _BLOCK, mesh.N + 1)
+            c0 = max(b0 - _BLOCK, 1)  # the window is block i - 1, whole; block 0 has none
+            if i:
                 w = compute_weights(mesh, alpha, (b0, b1), first_col=c0)
-                near = w[:, _BLOCK:]  # columns b0..b1-1
-                rows = d[i % len(d), : b1 - b0]
-                np.matmul(w[:, :_BLOCK], d[(i - 1) % len(d)], out=rows)  # the window, exact
-                if c0 > 1:  # tail: decay z to t_{b0-1}, add block i - 2 (just left the window)
-                    z *= np.exp(-lam * (t[b0 - 1] - t[c0 - 1]))[:, None]
-                    p0 = c0 - _BLOCK  # block i - 2: steps p0..c0-1
-                    e = _soe_factors(lam, k[p0 - 1 : c0 - 1], t[b0 - 1] - t[p0:c0]).T
-                    g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
-                    z += e @ d[(i - 2) % len(d)]
-                    rows += g @ z
-            kn = float(mesh.k[n - 1])
-            a = (1.0 if n == 1 else 2.0) / kn
-            fh = factors[n - 1] @ profiles
-            r = n - b0
-            rows[r] += near[r, :r] @ rows[:r]  # near history: rows[r] now holds H_n
-            rhs_base = a * u_prev[1:-1] + rows[r, 1:-1] + fh[1:-1]
-            c = near[r, r] * kn / (h * h)
-            v, passes, increment = _picard(a, c, rhs_base, u_prev, h, config, step=n)
-            u_new = v if n == 1 else 2.0 * v - u_prev
+            near = w[:, b0 - c0 :]  # columns b0..b1-1
+            rows = d[i % len(d), : b1 - b0]
+            np.matmul(w[:, : b0 - c0], d[(i - 1) % len(d), : b0 - c0], out=rows)  # exact window
+            if c0 > 1:  # tail: decay z to t_{b0-1}, add block i - 2 (just left the window)
+                z *= np.exp(-lam * (t[b0 - 1] - t[c0 - 1]))[:, None]
+                p0 = c0 - _BLOCK  # block i - 2: steps p0..c0-1
+                e = _soe_factors(lam, k[p0 - 1 : c0 - 1], t[b0 - 1] - t[p0:c0]).T
+                g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
+                z += e @ d[(i - 2) % len(d)]
+                rows += g @ z
+            for r, n in enumerate(range(b0, b1)):  # step n: its near history, then its system
+                kn = float(k[n - 1])
+                a = (1.0 if n == 1 else 2.0) / kn
+                fh = factors[n - 1] @ profiles
+                rows[r] += near[r, :r] @ rows[:r]  # rows[r] now holds H_n
+                rhs_base = a * u_prev[1:-1] + rows[r, 1:-1] + fh[1:-1]
+                c = near[r, r] * kn / (h * h)
+                v, passes, increment = _picard(a, c, rhs_base, u_prev, h, config, step=n)
+                u_new = v if n == 1 else 2.0 * v - u_prev
 
-            forcing_budget += 2.0 * kn * norm_l2(fh, h)
-            margin = _check_stability(u0_norm + forcing_budget, u_new, h, step=n)
-            rows[r] = kn * second_diff_values(v, h)
-            u_prev = u_new
-            reports.append(StepReport(n, passes, increment, margin))
-            if trajectory is not None:
-                trajectory[n] = u_new
+                forcing_budget += 2.0 * kn * norm_l2(fh, h)
+                margin = _check_stability(u0_norm + forcing_budget, u_new, h, step=n)
+                rows[r] = kn * second_diff_values(v, h)
+                u_prev = u_new
+                reports.append(StepReport(n, passes, increment, margin))
+                if trajectory is not None:
+                    trajectory[n] = u_new
 
     return SolveResult(
         mesh=mesh,

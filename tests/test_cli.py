@@ -477,6 +477,19 @@ def test_overflowing_weights_exit_2_with_one_line():
     assert lines[0].startswith("memburgers: compute_weights: non-finite weight in row 2;")
 
 
+def test_underflowing_weights_exit_2_with_one_line(capsys):
+    # at T = 1e-300 the steps' powers k**1.5 underflow to 0: the refusal
+    # names the underflow, not a cancellation
+    code = main(["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1",
+                 "--N", "300", "--J", "8", "--T", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "memburgers: compute_weights: the powers of the mesh steps underflow in rows 1..64 ")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flags, code, message", [
     # the source factors overflow at T = 1e100, while the weights stay finite
     (["--T", "1e100", "--f-mode", "interval-average"], 2,

@@ -75,6 +75,16 @@ def test_uniform_mesh_has_zero_step_increase():
     assert report.step_increase_const <= 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_hypotheses_on_one_and_two_steps(n):
+    # one step has no level ratio and no step pair: C = 1 in (H2), C = 0 in
+    # (H3); two equal steps have t_2 = 2 t_1 and no increase
+    report = check_mesh_hypotheses(build_graded_mesh(1.0, n, 1.0))
+    assert report.level_growth_const == (1.0 if n == 1 else 2.0)
+    assert report.step_increase_const == 0.0
+    assert report.all_ok
+
+
 def test_hand_built_mesh_with_shrinking_step_fails():
     # k = (0.5, 0.1, 0.4): the middle step shrinks, breaking monotonicity
     mesh = TemporalMesh([0.0, 0.5, 0.6, 1.0], gamma=1.0)

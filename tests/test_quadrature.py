@@ -155,8 +155,8 @@ def test_row_range_is_slice_of_full_table(rows):
     full = compute_weights(mesh, 0.35)
     n0, n1 = rows
     block = compute_weights(mesh, 0.35, rows)
-    assert block.shape == (n1 - n0, n1)
-    assert np.array_equal(block, full[n0:n1, :n1])
+    assert block.shape == (n1 - n0, n1 - 1)
+    assert np.array_equal(block, full[n0:n1, 1:n1])
 
 
 @pytest.mark.parametrize(
@@ -194,9 +194,9 @@ def test_bad_row_range_raises(rows):
         compute_weights(mesh, 0.5, rows)
 
 
-@pytest.mark.parametrize("first_col", [-1, 4, 5, -3])
+@pytest.mark.parametrize("first_col", [-1, 0, 4, 5, -3])
 def test_bad_first_column_raises(first_col):
-    # with rows (3, 5) first_col must lie in [0, 3]; the full table takes only 0
+    # with rows (3, 5) first_col must lie in [1, 3]; the full table takes only 1
     mesh = build_graded_mesh(1.0, 5, 1.0)
     for rows in ((3, 5), None):
         with pytest.raises(ValueError, match="first_col must satisfy"):
@@ -221,6 +221,25 @@ def test_overflowing_powers_named_without_warnings():
     mesh = build_graded_mesh(1e300, 8, 1.5)
     with pytest.raises(ValueError, match="non-finite weight in row 2;"):
         compute_weights(mesh, 0.5)
+
+
+@pytest.mark.parametrize("T", [1e-210, 1e-300])
+def test_underflowing_powers_raise_value_error(T):
+    # k = T/300, so k**1.5 is subnormal at T = 1e-210 (weights off by 4e-4
+    # relative) and 0 at T = 1e-300; both the table and a solve block refuse
+    mesh = build_graded_mesh(T, 300, 1.0)
+    with pytest.raises(ValueError, match="powers of the mesh steps underflow in rows 1..64 "):
+        compute_weights(mesh, 0.5)
+    with pytest.raises(ValueError, match="powers of the mesh steps underflow in rows 1..64 "):
+        compute_weights(mesh, 0.5, (1, _BLOCK + 1))
+
+
+def test_tiny_but_normal_powers_keep_their_accuracy():
+    # k**1.5 is about 2e-228 at T = 1e-150: normal, so the weights stay accurate
+    mesh = build_graded_mesh(1e-150, 300, 1.0)
+    w = compute_weights(mesh, 0.5)
+    for n, s in ((2, 1), (150, 75), (300, 1), (300, 299)):
+        assert abs(w[n, s] / _weight_mpmath(mesh, n, s, 0.5) - 1.0) <= 1e-10, (n, s)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
