@@ -20,13 +20,18 @@ and the skew-symmetric (Galerkin) convection form
 
 where mean3(w)_j = (w_{j-1} + w_j + w_{j+1})/3.  It satisfies
 <N(w), w> = 0 exactly, which is what the energy stability argument uses.
-convection_values evaluates the second, factored line: one temporary
-besides the array it returns, which the time stepper then reuses in place.
+convection_values evaluates the second, factored line.  Both operators
+write into out when it is given (an array of v's shape that does not
+overlap v), so the time stepper's passes allocate no full-length array;
+second_diff_values takes no temporary, convection_values one of J - 1
+values.  second_diff_values sums (-2 w_j + w_{j+1}) + w_{j-1}, which
+rounds exactly as (w_{j+1} - 2 w_j) + w_{j-1} does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -56,14 +61,19 @@ def norm_l2(values: np.ndarray, h: float) -> float:
     return float(np.sqrt(h * np.dot(v, v)))
 
 
-def second_diff_values(v: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h)
+def second_diff_values(v: np.ndarray, h: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    out = np.empty_like(v) if out is None else out
+    out[0] = out[-1] = 0.0
+    inner = out[1:-1]
+    np.multiply(v[1:-1], -2.0, out=inner)
+    inner += v[2:]
+    inner += v[:-2]
+    inner /= h * h
     return out
 
 
-def convection_values(v: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(v)
+def convection_values(v: np.ndarray, h: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    out = np.empty_like(v) if out is None else out
     out[0] = out[-1] = 0.0
     inner = out[1:-1]
     np.add(v[:-2], v[1:-1], out=inner)

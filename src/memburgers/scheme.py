@@ -56,14 +56,27 @@ strictly diagonally dominant (hence positive definite) tridiagonal system
     diag  a + 2c,  off-diagonal  -c,      c = w_nn k_n / h^2,
 
 warm-started from U^{n-1} and stopped when the discrete L2 norm of the
-iterate increment drops below eps.  _picard owns the step's linear
-system: it checks the dominance, factors the matrix once (LAPACK dpttrf,
-L D L^T), and makes each pass one back substitution through
-tridiagonal_solve (dpttrs), kept as its own function so that a traced run
-can time the per-pass solve.  A pass allocates no full-length iterate: it
-forms rhs - N(V) in the array convection_values returns, solves in that
-array, and takes the increment and the new iterate in place in the one
-working copy of U^{n-1} that the step keeps.
+iterate increment drops below eps.  _factor checks the dominance and
+factors the step's matrix once (LAPACK dpttrf, L D L^T).  The matrix has
+constant coefficients, so its pivots settle to one value after a number
+of rows that depends only on a/c; dpttrf factors only the rows up to
+there and the rest of the factor is filled in, bit for bit what the full
+factorization gives (see _factor).  _picard makes each pass one back
+substitution through tridiagonal_solve (dpttrs), kept as its own function
+so that a traced run can time the per-pass solve.
+
+The step loop allocates no full-length array but the one temporary of
+each convection_values call.  solve keeps one workspace: two iterate
+rows, the factor, and one row for the step's right-hand side
+a U^{n-1} + H_n + f^{n-1/2}, which is summed there (the near sum and
+f^{n-1/2} pass through the second iterate row first).  A pass writes N(V)
+into the other iterate row (convection_values with out), forms the
+right-hand side minus N(V) and solves there, takes the increment in place
+in V's row, and swaps the two rows.  After the passes k_n d2(V) goes
+straight into the step's row of d (second_diff_values with out), and
+U^n = 2V - U^{n-1} is written over U^{n-1}.  Each of these sums runs in
+the order the expressions above give, so the results do not depend on
+the layout.
 
 Every step checks the energy bound
 
@@ -176,57 +189,100 @@ class SolveResult:
         return max(r.iterations for r in self.reports)
 
 
-def tridiagonal_solve(factor: Tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    """One back substitution with the L D L^T factor (d, e) made by _picard (LAPACK dpttrs).
+def tridiagonal_solve(factor: Tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> None:
+    """One back substitution with the L D L^T factor (d, e) made by _factor (LAPACK dpttrs).
 
-    rhs may be overwritten: the solve runs in it when it is a contiguous
-    float64 array, as each pass's right-hand side is.  Use the returned array.
+    Solves in place: rhs, a contiguous float64 array, holds the solution on return.
     """
     x, info = dpttrs(*factor, rhs, overwrite_b=1)
     if info != 0:
         raise ValueError(f"tridiagonal_solve: dpttrs rejected argument {-info}")
-    return x
+    if x is not rhs:
+        raise ValueError("tridiagonal_solve: rhs must be a contiguous float64 array")
 
 
-def _picard(
-    a: float,
-    c: float,
-    rhs_base: np.ndarray,
-    v: np.ndarray,
-    h: float,
-    config: SchemeConfig,
-    step: int,
-) -> Tuple[np.ndarray, int, float]:
-    """Lagged-convection fixed-point loop for one step, started from v.
+def _pivot_rows(a: float, c: float, m: int) -> int:
+    """Rows after which dpttrf's pivots of the step's matrix are predicted constant.
 
-    Each pass solves A V = rhs_base - N(V_prev) at the interior nodes, A
-    the tridiagonal matrix with diagonal a + 2c and off-diagonal -c; A is
-    checked and factored once, before the first pass.  rhs_base and v are
-    left as they are: the passes work in one copy of v, and each pass forms
-    its right-hand side and solves in the array convection_values returns.
-    Returns (V, passes, final increment norm); a non-finite increment raises
-    NonconvergenceError at once.
+    The pivots d_1 = a + 2c, d_{i+1} = a + 2c - c^2 / d_i approach
+    d_inf = ((a + 2c) + sqrt(a (a + 4c))) / 2 with an error that shrinks
+    like rho^(2i), rho = c / d_inf, so they round to one value after about
+    ln(2^-53) / (2 ln rho) = 18.4 / -ln rho rows.  The prediction is
+    40 / -ln rho + 16 rows, a little over twice that, capped at m; m when
+    rho rounds to 1.
+    """
+    d_inf = ((a + 2.0 * c) + math.sqrt(a * (a + 4.0 * c))) / 2.0
+    decay = math.log(d_inf / c)  # -ln rho; inf when d_inf overflows
+    return min(m, int(40.0 / decay) + 16) if decay > 0.0 else m
+
+
+def _factor(a: float, c: float, d: np.ndarray, e: np.ndarray, step: int) -> None:
+    """Factor the step's matrix, diagonal a + 2c and off-diagonal -c, as L D L^T in d and e.
+
+    d has the m rows, e max(m - 1, 1) entries (the f2py wrapper rejects an
+    empty off-diagonal, which m = 1 has).  dpttrf's pivot recurrence reads
+    only the previous pivot, so the factor of the first n rows is the first
+    n rows of the full factor, and once two pivots in a row are equal every
+    later pivot equals them and every later e_i = -c / d_i equals the last.
+    So LAPACK factors only the first n = _pivot_rows rows, and the rest is
+    filled in; if the pivots have not settled by row n, n doubles.  n = m is
+    the full factorization.  d and e come out bit for bit as dpttrf on all
+    m rows leaves them.
     """
     if not (a > 0.0 and c > 0.0 and a + 2.0 * c < math.inf):
         # a > 0 is exactly the strict diagonal dominance margin of the
         # matrix; dpttrs does not check finiteness, so an infinite
         # diagonal (h^2 underflowing to 0) is refused here
         raise ValueError(f"step {step}: tridiagonal system lost diagonal dominance (c = {c})")
-    m = v.size - 2
-    # the f2py wrapper rejects an empty off-diagonal, which m = 1 has
-    d, e, info = dpttrf(np.full(m, a + 2.0 * c), np.full(max(m - 1, 1), -c))
-    if info != 0:
-        raise ValueError(f"step {step}: tridiagonal matrix is not positive definite (pivot {info})")
-    v = v.copy()  # the working iterate; its zero ends are never written
-    inner = v[1:-1]
+    m = d.size
+    n = _pivot_rows(a, c, m)
+    while True:
+        d[:n] = a + 2.0 * c
+        e[: max(n - 1, 1)] = -c
+        _, _, info = dpttrf(d[:n], e[: max(n - 1, 1)], overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise ValueError(f"step {step}: tridiagonal matrix is not positive definite (pivot {info})")
+        if n == m:
+            return
+        if d[n - 1] == d[n - 2]:
+            d[n:] = d[n - 1]
+            e[n - 1 :] = e[n - 2]
+            return
+        n = min(2 * n, m)
+
+
+def _picard(
+    factor: Tuple[np.ndarray, np.ndarray],
+    rhs_base: np.ndarray,
+    v: np.ndarray,
+    iterates: np.ndarray,
+    h: float,
+    config: SchemeConfig,
+    step: int,
+) -> Tuple[np.ndarray, int, float]:
+    """Lagged-convection fixed-point loop for one step, started from v.
+
+    Each pass solves A V = rhs_base - N(V_prev) at the interior nodes with
+    the factor of A made by _factor.  The passes run in iterates, a (2, J+1)
+    workspace that v is copied into: a pass writes N(V_prev) into the other
+    row, forms its right-hand side and solves there, takes the increment in
+    place in V_prev's row, and swaps the rows.  rhs_base, v and the factor
+    are left as they are.  Returns (the row of iterates holding V, passes,
+    final increment norm); a non-finite increment raises NonconvergenceError
+    at once.
+    """
+    iterates[0] = v  # the iterates' ends stay zero: v's, and convection_values'
+    v, spare = iterates
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
-        rhs = convection_values(v, h)[1:-1]
+        convection_values(v, h, out=spare)
+        rhs = spare[1:-1]
         np.subtract(rhs_base, rhs, out=rhs)
-        new = tridiagonal_solve((d, e), rhs)
-        inner -= new
+        tridiagonal_solve(factor, rhs)
+        inner = v[1:-1]
+        inner -= rhs
         increment = norm_l2(v, h)
-        inner[:] = new
+        v, spare = spare, v
         if increment < config.eps:
             return v, passes, increment
         if not math.isfinite(increment):
@@ -287,6 +343,12 @@ def solve(
         z = np.zeros((lam.size, grid.J + 1))  # the tail state at t_{b0-1}, one row per mode
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
+    # the step's workspace: V and the next pass's N(V), rhs and solution;
+    # the L D L^T factor (see _factor); the right-hand side rhs_base
+    iterates = np.zeros((2, grid.J + 1))
+    m = grid.J - 1
+    factor = (np.empty(m), np.empty(max(m - 1, 1)))
+    rhs_base = np.empty(m)
     trajectory = None
     if keep_trajectory:
         trajectory = np.empty((mesh.N + 1, grid.J + 1))
@@ -313,20 +375,28 @@ def solve(
             for r, n in enumerate(range(b0, b1)):  # step n: its near history, then its system
                 kn = float(k[n - 1])
                 a = (1.0 if n == 1 else 2.0) / kn
-                fh = factors[n - 1] @ profiles
-                rows[r] += near[r, :r] @ rows[:r]  # rows[r] now holds H_n
-                rhs_base = a * u_prev[1:-1] + rows[r, 1:-1] + fh[1:-1]
-                c = near[r, r] * kn / (h * h)
-                v, passes, increment = _picard(a, c, rhs_base, u_prev, h, config, step=n)
-                u_new = v if n == 1 else 2.0 * v - u_prev
+                # iterates[1] is free until _picard: first the near sum, then f^{n-1/2}
+                rows[r] += np.matmul(near[r, :r], rows[:r], out=iterates[1])  # rows[r] now holds H_n
+                fh = np.matmul(factors[n - 1], profiles, out=iterates[1])
+                np.multiply(u_prev[1:-1], a, out=rhs_base)
+                rhs_base += rows[r, 1:-1]
+                rhs_base += fh[1:-1]
+                f_norm = norm_l2(fh, h)
+                _factor(a, near[r, r] * kn / (h * h), *factor, step=n)
+                v, passes, increment = _picard(factor, rhs_base, u_prev, iterates, h, config, step=n)
 
-                forcing_budget += 2.0 * kn * norm_l2(fh, h)
-                margin = _check_stability(u0_norm + forcing_budget, u_new, h, step=n)
-                rows[r] = kn * second_diff_values(v, h)
-                u_prev = u_new
+                second_diff_values(v, h, out=rows[r])
+                rows[r] *= kn
+                if n == 1:
+                    u_prev[:] = v
+                else:  # U^n = 2V - U^{n-1}, in U^{n-1}'s array
+                    v *= 2.0
+                    np.subtract(v, u_prev, out=u_prev)
+                forcing_budget += 2.0 * kn * f_norm
+                margin = _check_stability(u0_norm + forcing_budget, u_prev, h, step=n)
                 reports.append(StepReport(n, passes, increment, margin))
                 if trajectory is not None:
-                    trajectory[n] = u_new
+                    trajectory[n] = u_prev
 
     return SolveResult(
         mesh=mesh,

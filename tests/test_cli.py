@@ -459,6 +459,40 @@ def test_nonpositive_weights_exit_2_under_optimize():
     assert "nonpositive weight" in proc.stderr
 
 
+def test_truncated_factor_is_the_same_under_optimize():
+    # the check that the factor's pivots have settled must not be an
+    # assert: under -O the solve must still factor short and give the same
+    # bytes (gamma 3 makes the first step's pivots settle within 4095 rows)
+    script = textwrap.dedent("""
+        import hashlib, sys
+        from memburgers import build_graded_mesh, build_spatial_grid, example2, scheme
+        rows, dpttrf = [], scheme.dpttrf
+        def counted(diag, off, **overwrite):
+            rows.append(len(diag))
+            return dpttrf(diag, off, **overwrite)
+        scheme.dpttrf = counted
+        result = scheme.solve(
+            example2(0.75), build_graded_mesh(1.0, 4, 3.0), build_spatial_grid(1.0, 4096), 0.75,
+            scheme.SchemeConfig(f_mode="interval_average"), keep_trajectory=True)
+        digest = hashlib.sha256(result.trajectory.tobytes() + repr(result.reports).encode())
+        print(sys.flags.optimize, min(rows), digest.hexdigest())
+    """)
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            capture_output=True,
+            text=True,
+            env=_package_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    (plain, rows, digest), (optimized, rows_o, digest_o) = outputs
+    assert (plain, optimized) == ("0", "1")
+    assert int(rows) < 4095 and rows_o == rows
+    assert digest_o == digest
+
+
 def test_overflowing_weights_exit_2_with_one_line():
     # the weight kernel's powers overflow at T = 1e300; the solve must say
     # so in one line, with no numpy warning before it

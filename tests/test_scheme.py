@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memburgers import scheme
+from memburgers import resolve_gamma, scheme
 from memburgers.mesh import TemporalMesh, build_graded_mesh, build_spatial_grid
 from memburgers.problems import (
     ManufacturedProblem,
@@ -42,13 +42,19 @@ def test_tridiagonal_matches_dense_solve(m, monkeypatch):
     # with the convection switched off every pass solves the step's linear
     # system alone: diagonal a + 2c, off-diagonal -c, m interior nodes
     # (m = 1 takes the padded off-diagonal)
-    monkeypatch.setattr(scheme, "convection_values", lambda v, h: np.zeros_like(v))
+    def no_convection(v, h, out):
+        out[:] = 0.0
+        return out
+
+    monkeypatch.setattr(scheme, "convection_values", no_convection)
     rng = np.random.default_rng(m)
     a, c = 0.5 + rng.random(2)
     rhs = rng.normal(size=m)
     full = np.diag(np.full(m, a + 2.0 * c)) - c * (np.eye(m, k=1) + np.eye(m, k=-1))
+    factor = _factor_arrays(m)
+    scheme._factor(a, c, *factor, step=1)
     v, passes, increment = scheme._picard(
-        a, c, rhs, np.zeros(m + 2), 1.0 / (m + 1), SchemeConfig(eps=1e-12), step=1
+        factor, rhs, np.zeros(m + 2), np.empty((2, m + 2)), 1.0 / (m + 1), SchemeConfig(eps=1e-12), step=1
     )
     assert passes == 2 and increment < 1e-12  # the second pass repeats the first
     assert v[0] == v[-1] == 0.0
@@ -56,25 +62,32 @@ def test_tridiagonal_matches_dense_solve(m, monkeypatch):
 
 
 def test_picard_leaves_its_inputs_unchanged():
-    # each pass works in place, but solve still needs the start vector
-    # (U^{n-1}, for U^n = 2V - U^{n-1}) and the right-hand side is the caller's
+    # each pass works in place in the workspace, but solve still needs the
+    # start vector (U^{n-1}, for U^n = 2V - U^{n-1}), the right-hand side is
+    # the caller's, and every pass solves with the same factor
     rng = np.random.default_rng(7)
     m = 31
     v = np.zeros(m + 2)
     v[1:-1] = rng.normal(size=m)
     rhs = rng.normal(size=m)
     v_in, rhs_in = v.copy(), rhs.copy()
-    out, passes, _ = scheme._picard(40.0, 3.0, rhs_in, v_in, 1.0 / (m + 1), SchemeConfig(), step=1)
+    factor = _factor_arrays(m)
+    scheme._factor(40.0, 3.0, *factor, step=1)
+    factor_in = [f.copy() for f in factor]
+    iterates = np.empty((2, m + 2))
+    out, passes, _ = scheme._picard(factor, rhs_in, v_in, iterates, 1.0 / (m + 1), SchemeConfig(), step=1)
     assert passes > 1
     assert v_in.tobytes() == v.tobytes()
     assert rhs_in.tobytes() == rhs.tobytes()
     assert not np.shares_memory(out, v_in)
+    assert np.shares_memory(out, iterates)
+    assert all(f.tobytes() == g.tobytes() for f, g in zip(factor, factor_in))
 
 
 def test_tridiagonal_indefinite_matrix_raises(monkeypatch):
     # the dominance guard keeps the matrix positive definite, so a pivot
     # that LAPACK reports as not positive is simulated; the step is named
-    def not_positive_definite(diag, off):
+    def not_positive_definite(diag, off, **overwrite):
         return diag, off, 2
 
     monkeypatch.setattr(scheme, "dpttrf", not_positive_definite)
@@ -82,6 +95,100 @@ def test_tridiagonal_indefinite_matrix_raises(monkeypatch):
     grid = build_spatial_grid(1.0, 8)
     with pytest.raises(ValueError, match=r"step 1: .*not positive definite \(pivot 2\)"):
         solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
+
+
+def _factor_arrays(m):
+    """d and e for an m-row factor; the off-diagonal is padded to one entry when m = 1."""
+    return np.empty(m), np.empty(max(m - 1, 1))
+
+
+def _count_factor_rows(monkeypatch):
+    """Make scheme.dpttrf record the rows of each call; returns the record."""
+    rows, dpttrf = [], scheme.dpttrf
+
+    def counted(diag, off, **overwrite):
+        rows.append(len(diag))
+        return dpttrf(diag, off, **overwrite)
+
+    monkeypatch.setattr(scheme, "dpttrf", counted)
+    return rows
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 255, 4095, 16383])
+def test_truncated_factor_is_bit_identical(m, monkeypatch):
+    # _factor runs dpttrf only on the rows before the pivots settle and
+    # fills in the rest; d and e must be what dpttrf leaves on all m rows,
+    # for a/c from 1e-40 (rho rounds to 1: every row is factored) to 1e6,
+    # and also from a start of 2 rows, too short, so that n doubles
+    dpttrf, predicted = scheme.dpttrf, scheme._pivot_rows
+    calls = _count_factor_rows(monkeypatch)
+    assert predicted(1e-40, 1.0, m) == m
+    for c in (1.0, 6.7e7):
+        for ratio in [1e-40] + [10.0**p for p in range(-18, 7, 3)]:
+            a = ratio * c
+            d_full, e_full, _ = dpttrf(np.full(m, a + 2.0 * c), np.full(max(m - 1, 1), -c))
+            for start in (predicted, lambda a, c, m: min(m, 2)):
+                monkeypatch.setattr(scheme, "_pivot_rows", start)
+                calls.clear()
+                d, e = _factor_arrays(m)
+                scheme._factor(a, c, d, e, step=1)
+                assert d.tobytes() == d_full.tobytes()
+                assert e.tobytes() == e_full.tobytes()
+                if start is predicted:
+                    assert calls == [predicted(a, c, m)]  # the prediction is never short
+                elif m > 2:
+                    assert len(calls) > 1 and calls[-1] <= m
+
+
+def test_factor_is_truncated_on_every_singular_study_step(monkeypatch):
+    # the benchmark's singular_study workload (example 2, alpha 0.75,
+    # interval_average, gamma auto-sigma, J = 4096) at its finest level,
+    # N = 512: every step factors fewer than m = 4095 rows, in one call
+    calls = _count_factor_rows(monkeypatch)
+    problem = example2(0.75)
+    mesh = build_graded_mesh(1.0, 512, resolve_gamma("auto-sigma", problem, "interval_average"))
+    grid = build_spatial_grid(1.0, 4096)
+    w_nn = np.diag(compute_weights(mesh, problem.alpha, (1, mesh.N + 1)))
+    d, e = _factor_arrays(grid.J - 1)
+    for n in range(1, mesh.N + 1):
+        kn = float(mesh.k[n - 1])
+        scheme._factor((1.0 if n == 1 else 2.0) / kn, w_nn[n - 1] * kn / (grid.h * grid.h), d, e, step=n)
+    assert len(calls) == mesh.N
+    assert max(calls) < grid.J - 1
+
+
+def test_truncated_factor_leaves_the_solve_bit_identical(monkeypatch):
+    # on this gamma-3 mesh the pivots of the first steps settle within
+    # m = 4095 rows; with the truncation switched off every bit of the
+    # trajectory and of the reports must stay the same
+    calls = _count_factor_rows(monkeypatch)
+    problem = example2(0.75)
+    mesh = build_graded_mesh(1.0, 8, 3.0)
+    grid = build_spatial_grid(1.0, 4096)
+    config = SchemeConfig(f_mode="interval_average")
+    short = solve(problem, mesh, grid, problem.alpha, config, keep_trajectory=True)
+    assert min(calls) < grid.J - 1
+    calls.clear()
+    monkeypatch.setattr(scheme, "_pivot_rows", lambda a, c, m: m)
+    full = solve(problem, mesh, grid, problem.alpha, config, keep_trajectory=True)
+    assert calls == [grid.J - 1] * mesh.N
+    assert short.trajectory.tobytes() == full.trajectory.tobytes()
+    assert short.reports == full.reports
+
+
+def test_a_later_solve_leaves_an_earlier_result_unchanged():
+    # each solve steps in its own workspace, and final.values is the array
+    # it wrote U^N into: a second solve must not write into the first
+    # one's final level or trajectory
+    grid = build_spatial_grid(1.0, 16)
+    mesh = build_graded_mesh(1.0, 6, 1.5)
+    first = solve(example1(0.5), mesh, grid, 0.5, SchemeConfig(), keep_trajectory=True)
+    final, trajectory = first.final.values.tobytes(), first.trajectory.tobytes()
+    config = SchemeConfig(f_mode="interval_average")
+    second = solve(example2(0.5), mesh, grid, 0.5, config, keep_trajectory=True)
+    assert first.final.values.tobytes() == final
+    assert first.trajectory.tobytes() == trajectory
+    assert not np.shares_memory(first.final.values, second.final.values)
 
 
 def test_scheme_config_validation():
@@ -247,7 +354,11 @@ def test_nonconvergence_reports_failing_step():
 def test_non_finite_increment_stops_at_once(monkeypatch):
     # a NaN convection value poisons the first pass; the loop must not spend
     # the rest of its budget on NaN before reporting
-    monkeypatch.setattr(scheme, "convection_values", lambda v, h: np.full_like(v, np.nan))
+    def nan_convection(v, h, out):
+        out[:] = np.nan
+        return out
+
+    monkeypatch.setattr(scheme, "convection_values", nan_convection)
     mesh = build_graded_mesh(1.0, 4, 1.0)
     grid = build_spatial_grid(1.0, 8)
     with pytest.raises(NonconvergenceError, match="step 1: increment nan after 1 passes") as info:
@@ -314,26 +425,30 @@ def test_solve_evaluates_each_profile_once():
 
 
 def test_solve_factors_once_per_step_and_solves_once_per_pass(monkeypatch):
-    factors, solves = [], []
-    dpttrf, tridiagonal_solve = scheme.dpttrf, scheme.tridiagonal_solve
-
-    def counted_factor(diag, off):
-        factors.append(len(diag))
-        return dpttrf(diag, off)
+    # at J = 16 each step factors all J - 1 rows; at J = 256 on the uniform
+    # 128-step mesh the pivots settle within the first 249 rows, so each
+    # step factors fewer rows, still in one dpttrf call
+    solves, tridiagonal_solve = [], scheme.tridiagonal_solve
 
     def counted_solve(factor, rhs):
         solves.append(len(rhs))
         return tridiagonal_solve(factor, rhs)
 
-    monkeypatch.setattr(scheme, "dpttrf", counted_factor)
+    factors = _count_factor_rows(monkeypatch)
     monkeypatch.setattr(scheme, "tridiagonal_solve", counted_solve)
-    mesh = build_graded_mesh(1.0, 12, 1.5)
-    grid = build_spatial_grid(1.0, 16)
-    result = solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
-    assert factors == [grid.J - 1] * mesh.N
-    assert len(solves) == sum(r.iterations for r in result.reports)
-    assert len(solves) > mesh.N  # some step took more than one pass
-    assert set(solves) == {grid.J - 1}
+    for n_steps, grading, n_nodes in [(12, 1.5, 16), (128, 1.0, 256)]:
+        factors.clear()
+        solves.clear()
+        mesh = build_graded_mesh(1.0, n_steps, grading)
+        grid = build_spatial_grid(1.0, n_nodes)
+        result = solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
+        if n_nodes == 16:
+            assert factors == [grid.J - 1] * mesh.N
+        else:
+            assert len(factors) == mesh.N and max(factors) < grid.J - 1
+        assert len(solves) == sum(r.iterations for r in result.reports)
+        assert len(solves) > mesh.N  # some step took more than one pass
+        assert set(solves) == {grid.J - 1}
 
 
 def test_stability_check_raises_on_violation():
