@@ -71,7 +71,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .mesh import TemporalMesh
 
@@ -192,7 +191,8 @@ def _soe_modes(alpha: float, T: float, delta: float) -> Tuple[np.ndarray, np.nda
     diag[0] = b / (b + 2.0)
     diag[1:] = b * b / (s * (s + 2.0))
     off = 2.0 * m * (m + b) / s * np.sqrt(1.0 / ((s + 1.0) * (s - 1.0)))
-    x, v = eigh_tridiagonal(0.5 * (1.0 + diag), 0.5 * off)
+    # the Jacobi matrix, dense (q = 8 rows); eigh reads its lower triangle
+    x, v = np.linalg.eigh(np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, -1))
 
     g, gw = np.polynomial.legendre.leggauss(q)
     # in logs, so that no ratio of extreme T and delta overflows

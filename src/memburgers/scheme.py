@@ -65,6 +65,14 @@ factorization gives (see _factor).  _picard makes each pass one back
 substitution through tridiagonal_solve (dpttrs), kept as its own function
 so that a traced run can time the per-pass solve.
 
+dpttrf and dpttrs are the LAPACK routines of the OpenBLAS that numpy
+itself loads: the ILP64 symbols scipy_dpttrf_64_ and scipy_dpttrs_64_,
+found through numpy's linalg extension and called with ctypes (numpy >= 2
+wheels export them; without them the import fails with one ImportError).
+They take raw addresses, so _Tridiagonal checks the arrays they work on
+once, when solve builds it, and builds every argument then; a call passes
+those prebuilt arguments and reads one int64 info cell.
+
 The step loop allocates no full-length array but the one temporary of
 each convection_values call.  solve keeps one workspace: two iterate
 rows, the factor, and one row for the step's right-hand side
@@ -93,12 +101,13 @@ bug, not a bad parameter choice).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from numpy.linalg import _umath_linalg
 
 from .gridops import GridFunction, convection_values, norm_l2, second_diff_values
 from .mesh import SpatialGrid, TemporalMesh, whole_count
@@ -116,6 +125,18 @@ __all__ = [
 
 _STABILITY_SLACK = 1e-9
 _BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L, t) = 0
+
+# Fortran calling convention: every argument by address, integers int64
+try:
+    _lapack = ctypes.CDLL(_umath_linalg.__file__)
+    dpttrf, dpttrs = _lapack.scipy_dpttrf_64_, _lapack.scipy_dpttrs_64_
+except AttributeError:
+    raise ImportError(
+        "memburgers: numpy's LAPACK exports no scipy_dpttrf_64_ / scipy_dpttrs_64_ "
+        "(numpy >= 2.0 wheels do)"
+    ) from None
+dpttrf.argtypes, dpttrf.restype = [ctypes.c_void_p] * 4, None  # n, d, e, info
+dpttrs.argtypes, dpttrs.restype = [ctypes.c_void_p] * 7, None  # n, nrhs, d, e, b, ldb, info
 
 
 class NonconvergenceError(RuntimeError):
@@ -189,16 +210,46 @@ class SolveResult:
         return max(r.iterations for r in self.reports)
 
 
-def tridiagonal_solve(factor: Tuple[np.ndarray, np.ndarray], rhs: np.ndarray) -> None:
-    """One back substitution with the L D L^T factor (d, e) made by _factor (LAPACK dpttrs).
+class _Tridiagonal:
+    """The step's tridiagonal system: its L D L^T factor d (m rows) and e
+    (max(m - 1, 1) entries; the padding is the m = 1 case), and the (2, m + 2)
+    iterate rows whose interiors the passes solve in; with every argument of
+    dpttrf (on the first n.value rows) and of dpttrs (on all m rows, in
+    either iterate row) built once.
 
-    Solves in place: rhs, a contiguous float64 array, holds the solution on return.
+    LAPACK writes through the raw addresses, so the arrays are checked here:
+    float64, C-contiguous, of those shapes, else ValueError.  The arrays and
+    the int64 cells stay referenced here for as long as the arguments.
     """
-    x, info = dpttrs(*factor, rhs, overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"tridiagonal_solve: dpttrs rejected argument {-info}")
-    if x is not rhs:
-        raise ValueError("tridiagonal_solve: rhs must be a contiguous float64 array")
+
+    def __init__(self, d: np.ndarray, e: np.ndarray, iterates: np.ndarray):
+        m = d.size
+        shapes = {"d": (d, (m,)), "e": (e, (max(m - 1, 1),)), "iterates": (iterates, (2, m + 2))}
+        for name, (array, shape) in shapes.items():
+            if not (array.dtype == np.float64 and array.flags.c_contiguous and array.shape == shape):
+                raise ValueError(
+                    f"_Tridiagonal: {name} must be a C-contiguous float64 array of shape {shape}, "
+                    f"got {array.dtype} {array.shape}"
+                )
+        self.d, self.e, self.iterates = d, e, iterates
+        self.n = ctypes.c_int64()  # dpttrf's order, set before each call
+        self.info = ctypes.c_int64()
+        self._m, self._one = ctypes.c_int64(m), ctypes.c_int64(1)  # dpttrs's order (and ldb), nrhs
+        cells = (self.n, self.info, self._m, self._one)
+        n, info, m_, one = (ctypes.c_void_p(ctypes.addressof(cell)) for cell in cells)
+        d_, e_ = ctypes.c_void_p(d.ctypes.data), ctypes.c_void_p(e.ctypes.data)
+        self.factor_args = (n, d_, e_, info)
+        self.solve_args = tuple(
+            (m_, one, d_, e_, ctypes.c_void_p(row[1:].ctypes.data), m_, info) for row in iterates
+        )
+
+
+def tridiagonal_solve(system: _Tridiagonal, row: int) -> None:
+    """One back substitution (LAPACK dpttrs) with the factor _factor left in
+    system, in place in the interior of system.iterates[row]."""
+    dpttrs(*system.solve_args[row])
+    if system.info.value != 0:
+        raise ValueError(f"tridiagonal_solve: dpttrs rejected argument {-system.info.value}")
 
 
 def _pivot_rows(a: float, c: float, m: int) -> int:
@@ -216,11 +267,11 @@ def _pivot_rows(a: float, c: float, m: int) -> int:
     return min(m, int(40.0 / decay) + 16) if decay > 0.0 else m
 
 
-def _factor(a: float, c: float, d: np.ndarray, e: np.ndarray, step: int) -> None:
-    """Factor the step's matrix, diagonal a + 2c and off-diagonal -c, as L D L^T in d and e.
+def _factor(a: float, c: float, system: _Tridiagonal, step: int) -> None:
+    """Factor the step's matrix, diagonal a + 2c and off-diagonal -c, as L D L^T
+    in system's d and e.
 
-    d has the m rows, e max(m - 1, 1) entries (the f2py wrapper rejects an
-    empty off-diagonal, which m = 1 has).  dpttrf's pivot recurrence reads
+    d has the m rows, e max(m - 1, 1) entries.  dpttrf's pivot recurrence reads
     only the previous pivot, so the factor of the first n rows is the first
     n rows of the full factor, and once two pivots in a row are equal every
     later pivot equals them and every later e_i = -c / d_i equals the last.
@@ -234,12 +285,15 @@ def _factor(a: float, c: float, d: np.ndarray, e: np.ndarray, step: int) -> None
         # matrix; dpttrs does not check finiteness, so an infinite
         # diagonal (h^2 underflowing to 0) is refused here
         raise ValueError(f"step {step}: tridiagonal system lost diagonal dominance (c = {c})")
+    d, e = system.d, system.e
     m = d.size
     n = _pivot_rows(a, c, m)
     while True:
         d[:n] = a + 2.0 * c
         e[: max(n - 1, 1)] = -c
-        _, _, info = dpttrf(d[:n], e[: max(n - 1, 1)], overwrite_d=1, overwrite_e=1)
+        system.n.value = n
+        dpttrf(*system.factor_args)
+        info = system.info.value
         if info != 0:
             raise ValueError(f"step {step}: tridiagonal matrix is not positive definite (pivot {info})")
         if n == m:
@@ -252,10 +306,9 @@ def _factor(a: float, c: float, d: np.ndarray, e: np.ndarray, step: int) -> None
 
 
 def _picard(
-    factor: Tuple[np.ndarray, np.ndarray],
+    system: _Tridiagonal,
     rhs_base: np.ndarray,
     v: np.ndarray,
-    iterates: np.ndarray,
     h: float,
     config: SchemeConfig,
     step: int,
@@ -263,26 +316,28 @@ def _picard(
     """Lagged-convection fixed-point loop for one step, started from v.
 
     Each pass solves A V = rhs_base - N(V_prev) at the interior nodes with
-    the factor of A made by _factor.  The passes run in iterates, a (2, J+1)
-    workspace that v is copied into: a pass writes N(V_prev) into the other
-    row, forms its right-hand side and solves there, takes the increment in
-    place in V_prev's row, and swaps the rows.  rhs_base, v and the factor
-    are left as they are.  Returns (the row of iterates holding V, passes,
-    final increment norm); a non-finite increment raises NonconvergenceError
-    at once.
+    the factor of A that _factor left in system.  The passes run in
+    system.iterates, a (2, J+1) workspace that v is copied into: a pass
+    writes N(V_prev) into the other row, forms its right-hand side and
+    solves there, takes the increment in place in V_prev's row, and swaps
+    the rows.  rhs_base, v and the factor are left as they are.  Returns
+    (the row of iterates holding V, passes, final increment norm); a
+    non-finite increment raises NonconvergenceError at once.
     """
+    iterates = system.iterates
     iterates[0] = v  # the iterates' ends stay zero: v's, and convection_values'
     v, spare = iterates
+    s = 1  # spare's row in iterates
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
         convection_values(v, h, out=spare)
         rhs = spare[1:-1]
         np.subtract(rhs_base, rhs, out=rhs)
-        tridiagonal_solve(factor, rhs)
+        tridiagonal_solve(system, s)
         inner = v[1:-1]
         inner -= rhs
         increment = norm_l2(v, h)
-        v, spare = spare, v
+        v, spare, s = spare, v, 1 - s
         if increment < config.eps:
             return v, passes, increment
         if not math.isfinite(increment):
@@ -343,11 +398,11 @@ def solve(
         z = np.zeros((lam.size, grid.J + 1))  # the tail state at t_{b0-1}, one row per mode
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
-    # the step's workspace: V and the next pass's N(V), rhs and solution;
-    # the L D L^T factor (see _factor); the right-hand side rhs_base
-    iterates = np.zeros((2, grid.J + 1))
+    # the step's workspace: V and the next pass's N(V), rhs and solution,
+    # with the L D L^T factor (see _Tridiagonal); the right-hand side rhs_base
     m = grid.J - 1
-    factor = (np.empty(m), np.empty(max(m - 1, 1)))
+    system = _Tridiagonal(np.empty(m), np.empty(max(m - 1, 1)), np.zeros((2, grid.J + 1)))
+    iterates = system.iterates
     rhs_base = np.empty(m)
     trajectory = None
     if keep_trajectory:
@@ -382,8 +437,8 @@ def solve(
                 rhs_base += rows[r, 1:-1]
                 rhs_base += fh[1:-1]
                 f_norm = norm_l2(fh, h)
-                _factor(a, near[r, r] * kn / (h * h), *factor, step=n)
-                v, passes, increment = _picard(factor, rhs_base, u_prev, iterates, h, config, step=n)
+                _factor(a, near[r, r] * kn / (h * h), system, step=n)
+                v, passes, increment = _picard(system, rhs_base, u_prev, h, config, step=n)
 
                 second_diff_values(v, h, out=rows[r])
                 rows[r] *= kn

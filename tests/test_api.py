@@ -1,12 +1,17 @@
 """The public surface: what the package exports, what the README documents,
-and what the benchmark in bench/run.py relies on; and no module imports a
-name it does not use."""
+and what the benchmark in bench/run.py relies on; no module imports a name
+it does not use, and none imports scipy."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import memburgers
 from memburgers import scheme
+from memburgers.quadrature import _BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench" / "run.py"
@@ -95,3 +100,69 @@ def test_package_modules_have_no_assert():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_package_modules_do_not_import_scipy():
+    # the runtime needs numpy only: importing scipy.linalg cost 0.2-0.35 s of
+    # every fresh interpreter's set-up and loaded a second OpenBLAS
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules += [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules.append(node.module)
+        scipy = [m for m in modules if m.split(".")[0] == "scipy"]
+        assert not scipy, f"{path.name} imports {scipy}"
+
+
+def _run_fresh(script):
+    """Run script in a fresh interpreter that imports this package's source."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_a_solve_and_the_cli_load_no_scipy():
+    # N > 2 _BLOCK, so the solve also builds the sum-of-exponentials tail
+    n = 2 * _BLOCK + 2
+    proc = _run_fresh(f"""
+        import sys
+        import memburgers
+        from memburgers import cli
+        mesh = memburgers.build_graded_mesh(1.0, {n}, 1.5)
+        grid = memburgers.build_spatial_grid(1.0, 8)
+        memburgers.solve(memburgers.example1(0.5), mesh, grid, 0.5, memburgers.SchemeConfig())
+        code = cli.main(["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1.5",
+                         "--N", "{n}", "--J", "8"])
+        print(code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_import_without_the_lapack_symbols_fails_in_one_line():
+    # a numpy whose LAPACK exports neither routine: one ImportError naming
+    # both, and no fallback
+    proc = _run_fresh("""
+        import ctypes
+        import numpy
+
+        class NoSymbols:
+            def __init__(self, path):
+                pass
+
+        ctypes.CDLL = NoSymbols
+        try:
+            import memburgers
+        except ImportError as error:
+            print(error)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert "scipy_dpttrf_64_" in line and "scipy_dpttrs_64_" in line

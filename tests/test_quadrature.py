@@ -1,14 +1,15 @@
 """Product-integration weight tests: closed form vs quadrature oracle, and
 the structural properties the stability theory rests on."""
 
-from math import gamma
+from math import gamma, pi, sin
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from memburgers.mesh import TemporalMesh, build_graded_mesh
-from memburgers.quadrature import _BLOCK, _soe_factors, _soe_modes, compute_weights
+from memburgers.quadrature import _BLOCK, _SOE_NODES, _soe_factors, _soe_modes, compute_weights
 
 from oracles import weight_by_quadrature, weights_row_loop
 
@@ -309,3 +310,39 @@ def test_soe_modes_fit_kernel(alpha, T, delta):
     fit = np.exp(-np.multiply.outer(tau, lam)) @ omega
     kernel = tau ** (alpha - 1.0) / gamma(alpha)
     assert np.max(np.abs(fit / kernel - 1.0)) <= 1e-12
+
+
+def _gauss_jacobi_mpmath(q, alpha):
+    """Nodes and weights of the q-point Gauss rule for x**(-alpha) on [0, 1], from
+    the eigenvectors of its Jacobi matrix (Golub-Welsch) at 40 digits."""
+    with mpmath.workdps(40):
+        b = -mpmath.mpf(alpha)
+        jac = mpmath.zeros(q, q)
+        for i in range(q):
+            s = 2 * i + b
+            jac[i, i] = (1 + b * b / (s * (s + 2))) / 2
+            if i:
+                jac[i, i - 1] = jac[i - 1, i] = i * (i + b) / s / mpmath.sqrt((s + 1) * (s - 1))
+        x, v = mpmath.eigsy(jac)
+        pairs = sorted((x[j], v[0, j] ** 2 / (1 + b)) for j in range(q))
+        return np.array([[float(p) for p in pair] for pair in pairs]).T
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("T", [1.0, 1e3])
+def test_soe_gauss_jacobi_modes_match_references(alpha, T):
+    # the first _SOE_NODES modes are the Gauss-Jacobi rule for s**(-alpha) on
+    # [0, 1/T], times sin(pi alpha)/pi.  scipy's roots_jacobi is an independent
+    # rule, but itself off a 40-digit rule by up to 3.6e-13 (alpha = 0.95);
+    # against the 40-digit rule the modes hold to a few units in the last place
+    lam, omega = _soe_modes(alpha, T, 1e-3)
+    lam, omega = lam[:_SOE_NODES], omega[:_SOE_NODES] * pi / sin(pi * alpha)
+    y, wy = roots_jacobi(_SOE_NODES, 0.0, -alpha)  # weight (1 + y)**(-alpha) on [-1, 1]
+    x, w = _gauss_jacobi_mpmath(_SOE_NODES, alpha)
+    scale = T ** (alpha - 1.0)
+    for ref_lam, ref_omega, rtol in [
+        ((1.0 + y) / 2.0 / T, wy * 2.0 ** (alpha - 1.0) * scale, 1e-12),
+        (x / T, w * scale, 5e-14),
+    ]:
+        assert np.max(np.abs(lam / ref_lam - 1.0)) <= rtol
+        assert np.max(np.abs(omega / ref_omega - 1.0)) <= rtol

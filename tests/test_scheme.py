@@ -2,11 +2,13 @@
 energy margins, and agreement with an independently assembled
 dense-solver oracle."""
 
+import ctypes
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf as scipy_dpttrf
 
 from memburgers import resolve_gamma, scheme
 from memburgers.mesh import TemporalMesh, build_graded_mesh, build_spatial_grid
@@ -51,10 +53,10 @@ def test_tridiagonal_matches_dense_solve(m, monkeypatch):
     a, c = 0.5 + rng.random(2)
     rhs = rng.normal(size=m)
     full = np.diag(np.full(m, a + 2.0 * c)) - c * (np.eye(m, k=1) + np.eye(m, k=-1))
-    factor = _factor_arrays(m)
-    scheme._factor(a, c, *factor, step=1)
+    system = _system(m)
+    scheme._factor(a, c, system, step=1)
     v, passes, increment = scheme._picard(
-        factor, rhs, np.zeros(m + 2), np.empty((2, m + 2)), 1.0 / (m + 1), SchemeConfig(eps=1e-12), step=1
+        system, rhs, np.zeros(m + 2), 1.0 / (m + 1), SchemeConfig(eps=1e-12), step=1
     )
     assert passes == 2 and increment < 1e-12  # the second pass repeats the first
     assert v[0] == v[-1] == 0.0
@@ -71,24 +73,23 @@ def test_picard_leaves_its_inputs_unchanged():
     v[1:-1] = rng.normal(size=m)
     rhs = rng.normal(size=m)
     v_in, rhs_in = v.copy(), rhs.copy()
-    factor = _factor_arrays(m)
-    scheme._factor(40.0, 3.0, *factor, step=1)
-    factor_in = [f.copy() for f in factor]
-    iterates = np.empty((2, m + 2))
-    out, passes, _ = scheme._picard(factor, rhs_in, v_in, iterates, 1.0 / (m + 1), SchemeConfig(), step=1)
+    system = _system(m)
+    scheme._factor(40.0, 3.0, system, step=1)
+    factor_in = system.d.copy(), system.e.copy()
+    out, passes, _ = scheme._picard(system, rhs_in, v_in, 1.0 / (m + 1), SchemeConfig(), step=1)
     assert passes > 1
     assert v_in.tobytes() == v.tobytes()
     assert rhs_in.tobytes() == rhs.tobytes()
     assert not np.shares_memory(out, v_in)
-    assert np.shares_memory(out, iterates)
-    assert all(f.tobytes() == g.tobytes() for f, g in zip(factor, factor_in))
+    assert np.shares_memory(out, system.iterates)
+    assert all(f.tobytes() == g.tobytes() for f, g in zip((system.d, system.e), factor_in))
 
 
 def test_tridiagonal_indefinite_matrix_raises(monkeypatch):
     # the dominance guard keeps the matrix positive definite, so a pivot
     # that LAPACK reports as not positive is simulated; the step is named
-    def not_positive_definite(diag, off, **overwrite):
-        return diag, off, 2
+    def not_positive_definite(n, d, e, info):
+        _cell(info).value = 2
 
     monkeypatch.setattr(scheme, "dpttrf", not_positive_definite)
     mesh = build_graded_mesh(1.0, 3, 1.0)
@@ -97,18 +98,66 @@ def test_tridiagonal_indefinite_matrix_raises(monkeypatch):
         solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
 
 
-def _factor_arrays(m):
-    """d and e for an m-row factor; the off-diagonal is padded to one entry when m = 1."""
-    return np.empty(m), np.empty(max(m - 1, 1))
+def test_tridiagonal_rejected_argument_raises(monkeypatch):
+    # dpttrs reports a bad argument as info = -(its position); the solve
+    # must stop with it rather than go on with an unsolved right-hand side
+    def rejects_ldb(n, nrhs, d, e, b, ldb, info):
+        _cell(info).value = -6
+
+    monkeypatch.setattr(scheme, "dpttrs", rejects_ldb)
+    mesh = build_graded_mesh(1.0, 3, 1.0)
+    grid = build_spatial_grid(1.0, 8)
+    with pytest.raises(ValueError, match=r"tridiagonal_solve: dpttrs rejected argument 6"):
+        solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
+
+
+@pytest.mark.parametrize(
+    "m, name, make",
+    [
+        (6, "d", lambda buf, m: buf[:m].astype(np.float32)),
+        (6, "d", lambda buf, m: buf[: 2 * m : 2]),
+        (6, "d", lambda buf, m: buf[: m + 1]),
+        (6, "e", lambda buf, m: buf[: m - 1].astype(np.int64)),
+        (6, "e", lambda buf, m: buf[: 2 * (m - 1) : 2]),
+        (6, "e", lambda buf, m: buf[:m]),
+        (1, "e", lambda buf, m: buf[: m - 1]),  # m = 1 takes the padded off-diagonal
+        (6, "iterates", lambda buf, m: buf[: 4 * (m + 2)].reshape(2, 2 * (m + 2))[:, ::2]),
+        (6, "iterates", lambda buf, m: buf[: 2 * (m + 2)].reshape(m + 2, 2).T),
+        (6, "iterates", lambda buf, m: buf[: 2 * (m + 2)].reshape(2, m + 2).astype(np.float32)),
+        (6, "iterates", lambda buf, m: buf[: 3 * (m + 2)].reshape(3, m + 2)),
+    ],
+)
+def test_tridiagonal_refuses_arrays_lapack_cannot_take(m, name, make):
+    # LAPACK gets raw addresses and lengths, so a factor or a right-hand-side
+    # row of the wrong dtype, layout or length must be refused before any
+    # address is taken, and must leave memory as it was
+    buf = np.arange(1.0, 4.0 * (m + 2) + 1.0)
+    arrays = dict(d=np.empty(m), e=np.empty(max(m - 1, 1)), iterates=np.zeros((2, m + 2)))
+    arrays[name] = make(buf, m)
+    before = [a.tobytes() for a in (buf, *arrays.values())]
+    with pytest.raises(ValueError, match=r"_Tridiagonal: \w+ must be a C-contiguous float64 array"):
+        scheme._Tridiagonal(**arrays)
+    assert [a.tobytes() for a in (buf, *arrays.values())] == before
+
+
+def _system(m):
+    """The step's tridiagonal workspace for m interior nodes, as solve builds it;
+    the off-diagonal is padded to one entry when m = 1."""
+    return scheme._Tridiagonal(np.empty(m), np.empty(max(m - 1, 1)), np.zeros((2, m + 2)))
+
+
+def _cell(address):
+    """The int64 LAPACK argument that a prebuilt ctypes address points to."""
+    return ctypes.c_int64.from_address(address.value)
 
 
 def _count_factor_rows(monkeypatch):
     """Make scheme.dpttrf record the rows of each call; returns the record."""
     rows, dpttrf = [], scheme.dpttrf
 
-    def counted(diag, off, **overwrite):
-        rows.append(len(diag))
-        return dpttrf(diag, off, **overwrite)
+    def counted(n, d, e, info):
+        rows.append(_cell(n).value)
+        dpttrf(n, d, e, info)
 
     monkeypatch.setattr(scheme, "dpttrf", counted)
     return rows
@@ -119,21 +168,23 @@ def test_truncated_factor_is_bit_identical(m, monkeypatch):
     # _factor runs dpttrf only on the rows before the pivots settle and
     # fills in the rest; d and e must be what dpttrf leaves on all m rows,
     # for a/c from 1e-40 (rho rounds to 1: every row is factored) to 1e6,
-    # and also from a start of 2 rows, too short, so that n doubles
-    dpttrf, predicted = scheme.dpttrf, scheme._pivot_rows
+    # and also from a start of 2 rows, too short, so that n doubles; the
+    # full factor comes from scipy's own LAPACK, an independent build
+    predicted = scheme._pivot_rows
     calls = _count_factor_rows(monkeypatch)
     assert predicted(1e-40, 1.0, m) == m
     for c in (1.0, 6.7e7):
         for ratio in [1e-40] + [10.0**p for p in range(-18, 7, 3)]:
             a = ratio * c
-            d_full, e_full, _ = dpttrf(np.full(m, a + 2.0 * c), np.full(max(m - 1, 1), -c))
+            d_full, e_full, info = scipy_dpttrf(np.full(m, a + 2.0 * c), np.full(max(m - 1, 1), -c))
+            assert info == 0
             for start in (predicted, lambda a, c, m: min(m, 2)):
                 monkeypatch.setattr(scheme, "_pivot_rows", start)
                 calls.clear()
-                d, e = _factor_arrays(m)
-                scheme._factor(a, c, d, e, step=1)
-                assert d.tobytes() == d_full.tobytes()
-                assert e.tobytes() == e_full.tobytes()
+                system = _system(m)
+                scheme._factor(a, c, system, step=1)
+                assert system.d.tobytes() == d_full.tobytes()
+                assert system.e.tobytes() == e_full.tobytes()
                 if start is predicted:
                     assert calls == [predicted(a, c, m)]  # the prediction is never short
                 elif m > 2:
@@ -149,10 +200,10 @@ def test_factor_is_truncated_on_every_singular_study_step(monkeypatch):
     mesh = build_graded_mesh(1.0, 512, resolve_gamma("auto-sigma", problem, "interval_average"))
     grid = build_spatial_grid(1.0, 4096)
     w_nn = np.diag(compute_weights(mesh, problem.alpha, (1, mesh.N + 1)))
-    d, e = _factor_arrays(grid.J - 1)
+    system = _system(grid.J - 1)
     for n in range(1, mesh.N + 1):
         kn = float(mesh.k[n - 1])
-        scheme._factor((1.0 if n == 1 else 2.0) / kn, w_nn[n - 1] * kn / (grid.h * grid.h), d, e, step=n)
+        scheme._factor((1.0 if n == 1 else 2.0) / kn, w_nn[n - 1] * kn / (grid.h * grid.h), system, step=n)
     assert len(calls) == mesh.N
     assert max(calls) < grid.J - 1
 
@@ -430,9 +481,9 @@ def test_solve_factors_once_per_step_and_solves_once_per_pass(monkeypatch):
     # step factors fewer rows, still in one dpttrf call
     solves, tridiagonal_solve = [], scheme.tridiagonal_solve
 
-    def counted_solve(factor, rhs):
-        solves.append(len(rhs))
-        return tridiagonal_solve(factor, rhs)
+    def counted_solve(system, row):
+        solves.append(system.iterates[row, 1:-1].size)
+        return tridiagonal_solve(system, row)
 
     factors = _count_factor_rows(monkeypatch)
     monkeypatch.setattr(scheme, "tridiagonal_solve", counted_solve)
