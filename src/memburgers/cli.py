@@ -102,9 +102,10 @@ def _add_solver(parser: argparse.ArgumentParser, *, alphas: bool = False) -> Non
         help="time factor of the sources (default %(default)s)",
     )
     parser.add_argument("--eps", type=float, default=SchemeConfig.eps,
-                        help="fixed-point tolerance (default %(default)s)")
+                        help="fixed-point tolerance on the increment of pass 2 and later "
+                        "(default %(default)s)")
     parser.add_argument("--max-steps", type=int, default=SchemeConfig.max_steps,
-                        help="fixed-point pass budget (default %(default)s)")
+                        help="fixed-point pass budget per step, at least 2 (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,10 +53,18 @@ Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
 strictly diagonally dominant (hence positive definite) tridiagonal system
 
-    diag  a + 2c,  off-diagonal  -c,      c = w_nn k_n / h^2,
+    diag  a + 2c,  off-diagonal  -c,      c = w_nn k_n / h^2.
 
-warm-started from U^{n-1} and stopped when the discrete L2 norm of the
-iterate increment drops below eps.  _factor checks the dominance and
+The iteration starts from the extrapolated half level
+
+    V_pred = U^{n-1} + k_n / (2 k_{n-1}) (U^{n-1} - U^{n-2}),   n >= 2,
+
+and from U^0 at step 1.  It stops at the first pass from the second on
+whose increment (discrete L2 norm) is below eps, so eps bounds the
+increment of a pass >= 2 and every step takes at least two passes.  From
+V_pred the first increment is often already below eps, and accepting it
+would leave about theta eps of iteration error per step (theta the
+contraction factor) in the results.  _factor checks the dominance and
 factors the step's matrix once (LAPACK dpttrf, L D L^T).  The matrix has
 constant coefficients, so its pivots settle to one value after a number
 of rows that depends only on a/c; dpttrf factors only the rows up to
@@ -75,14 +83,17 @@ those prebuilt arguments and reads one int64 info cell.
 
 The step loop allocates no full-length array but the one temporary of
 each convection_values call.  solve keeps one workspace: two iterate
-rows, the factor, and one row for the step's right-hand side
+rows, the factor, one row for the step's right-hand side
 a U^{n-1} + H_n + f^{n-1/2}, which is summed there (the near sum and
-f^{n-1/2} pass through the second iterate row first).  A pass writes N(V)
+f^{n-1/2} pass through the second iterate row first), and, beside U^{n-1},
+one row D = U^{n-1} - U^{n-2} (zero before step 1).  V_pred is written
+from them straight into the first iterate row.  A pass writes N(V)
 into the other iterate row (convection_values with out), forms the
 right-hand side minus N(V) and solves there, takes the increment in place
 in V's row, and swaps the two rows.  After the passes k_n d2(V) goes
-straight into the step's row of d (second_diff_values with out), and
-U^n = 2V - U^{n-1} is written over U^{n-1}.  Each of these sums runs in
+straight into the step's row of d (second_diff_values with out),
+U^n = 2V - U^{n-1} (U^1 = V) is written over the spent D, D = U^n - U^{n-1}
+over U^{n-1}, and the two arrays swap names.  Each of these sums runs in
 the order the expressions above give, so the results do not depend on
 the layout.
 
@@ -161,8 +172,10 @@ class StabilityViolationError(RuntimeError):
 class SchemeConfig:
     """Solver parameters.
 
-    eps: fixed-point stopping tolerance (discrete L2 of the increment).
-    max_steps: fixed-point pass budget per time step.
+    eps: fixed-point stopping tolerance: the discrete L2 norm of the
+        increment of a pass, from the second pass on (each step starts from
+        the extrapolated half level and accepts no first pass).
+    max_steps: fixed-point pass budget per time step, >= 2.
     f_mode: the time factor of the sources f^{n-1/2}: midpoint,
         endpoint_average or interval_average (see problems.f_half).
     """
@@ -174,8 +187,11 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"SchemeConfig: eps must be positive and finite, got {self.eps}")
-        if whole_count("SchemeConfig", "max_steps", self.max_steps) < 1:
-            raise ValueError(f"SchemeConfig: max_steps must be >= 1, got {self.max_steps}")
+        if whole_count("SchemeConfig", "max_steps", self.max_steps) < 2:
+            raise ValueError(
+                f"SchemeConfig: max_steps must be >= 2 (no step is accepted before "
+                f"its second pass), got {self.max_steps}"
+            )
         if self.f_mode not in F_MODES:
             raise ValueError(f"SchemeConfig: unknown f mode {self.f_mode!r}")
 
@@ -308,25 +324,24 @@ def _factor(a: float, c: float, system: _Tridiagonal, step: int) -> None:
 def _picard(
     system: _Tridiagonal,
     rhs_base: np.ndarray,
-    v: np.ndarray,
     h: float,
     config: SchemeConfig,
     step: int,
 ) -> Tuple[np.ndarray, int, float]:
-    """Lagged-convection fixed-point loop for one step, started from v.
+    """Lagged-convection fixed-point loop for one step, started from the
+    iterate the caller left in system.iterates[0] (with zero ends).
 
     Each pass solves A V = rhs_base - N(V_prev) at the interior nodes with
     the factor of A that _factor left in system.  The passes run in
-    system.iterates, a (2, J+1) workspace that v is copied into: a pass
-    writes N(V_prev) into the other row, forms its right-hand side and
-    solves there, takes the increment in place in V_prev's row, and swaps
-    the rows.  rhs_base, v and the factor are left as they are.  Returns
-    (the row of iterates holding V, passes, final increment norm); a
-    non-finite increment raises NonconvergenceError at once.
+    system.iterates, a (2, J+1) workspace: a pass writes N(V_prev) into the
+    other row, forms its right-hand side and solves there, takes the
+    increment in place in V_prev's row, and swaps the rows.  rhs_base and
+    the factor are left as they are.  An iterate is accepted from the second
+    pass on, once the increment is below eps.  Returns (the row of iterates
+    holding V, passes, final increment norm); a non-finite increment raises
+    NonconvergenceError at once.
     """
-    iterates = system.iterates
-    iterates[0] = v  # the iterates' ends stay zero: v's, and convection_values'
-    v, spare = iterates
+    v, spare = system.iterates  # their ends stay zero: the start's, and convection_values'
     s = 1  # spare's row in iterates
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
@@ -338,7 +353,7 @@ def _picard(
         inner -= rhs
         increment = norm_l2(v, h)
         v, spare, s = spare, v, 1 - s
-        if increment < config.eps:
+        if passes > 1 and increment < config.eps:
             return v, passes, increment
         if not math.isfinite(increment):
             raise NonconvergenceError(step=step, iterations=passes, increment=increment)
@@ -383,6 +398,7 @@ def solve(
     h = grid.h
     u_prev = exact[0.0] + 0.0  # U^0; adding 0.0 turns -0.0 into 0.0
     u_prev[[0, -1]] = 0.0
+    diff = np.zeros(grid.J + 1)  # D = U^{n-1} - U^{n-2}; zero before step 1
     u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     t, k = mesh.t, mesh.k
@@ -398,8 +414,9 @@ def solve(
         z = np.zeros((lam.size, grid.J + 1))  # the tail state at t_{b0-1}, one row per mode
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
-    # the step's workspace: V and the next pass's N(V), rhs and solution,
-    # with the L D L^T factor (see _Tridiagonal); the right-hand side rhs_base
+    # the step's workspace: V (from its predictor) and the next pass's N(V),
+    # rhs and solution, with the L D L^T factor (see _Tridiagonal); the
+    # right-hand side rhs_base
     m = grid.J - 1
     system = _Tridiagonal(np.empty(m), np.empty(max(m - 1, 1)), np.zeros((2, grid.J + 1)))
     iterates = system.iterates
@@ -437,16 +454,22 @@ def solve(
                 rhs_base += rows[r, 1:-1]
                 rhs_base += fh[1:-1]
                 f_norm = norm_l2(fh, h)
+                # V_pred = U^{n-1} + k_n / (2 k_{n-1}) D, U^0 at step 1, in _picard's start row
+                np.multiply(diff, kn / (2.0 * float(k[n - 2])) if n > 1 else 0.0, out=iterates[0])
+                iterates[0] += u_prev
                 _factor(a, near[r, r] * kn / (h * h), system, step=n)
-                v, passes, increment = _picard(system, rhs_base, u_prev, h, config, step=n)
+                v, passes, increment = _picard(system, rhs_base, h, config, step=n)
 
                 second_diff_values(v, h, out=rows[r])
                 rows[r] *= kn
+                # U^n into D's spent array, then D = U^n - U^{n-1} into U^{n-1}'s; swap
                 if n == 1:
-                    u_prev[:] = v
-                else:  # U^n = 2V - U^{n-1}, in U^{n-1}'s array
+                    diff[:] = v
+                else:  # U^n = 2V - U^{n-1}
                     v *= 2.0
-                    np.subtract(v, u_prev, out=u_prev)
+                    np.subtract(v, u_prev, out=diff)
+                np.subtract(diff, u_prev, out=u_prev)
+                u_prev, diff = diff, u_prev
                 forcing_budget += 2.0 * kn * f_norm
                 margin = _check_stability(u0_norm + forcing_budget, u_prev, h, step=n)
                 reports.append(StepReport(n, passes, increment, margin))

@@ -321,7 +321,7 @@ def test_malformed_config_line_exits_2(tmp_path, capsys):
 def test_nonconvergence_exits_1(capsys):
     code = main(
         ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1.0",
-         "--N", "4", "--J", "32", "--eps", "1e-14", "--max-steps", "1"]
+         "--N", "4", "--J", "32", "--eps", "1e-14", "--max-steps", "2"]
     )
     assert code == 1
     err = capsys.readouterr().err
@@ -446,17 +446,24 @@ def _package_env():
 def test_nonpositive_weights_exit_2_under_optimize():
     # the weight check must not be an assert: under -O it would vanish and
     # the solve would print an error from nonpositive weights (w[65, 1]
-    # cancels to 0 on this mesh; with N <= 2 _BLOCK every weight is exact)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "memburgers.cli", "solve", "--example", "1",
-         "--alpha", "0.25", "--gamma", "8", "--N", "128", "--J", "64"],
-        capture_output=True,
-        text=True,
-        env=_package_env(),
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert "error_l2=" not in proc.stdout
-    assert "nonpositive weight" in proc.stderr
+    # cancels to 0 on this mesh; with N <= 2 _BLOCK every weight is exact).
+    # Nor may the two-pass floor on --max-steps: under -O a budget of one
+    # pass would run every step into a NonconvergenceError (exit 1)
+    cases = [
+        (["--alpha", "0.25", "--gamma", "8", "--N", "128", "--J", "64"], "nonpositive weight"),
+        (["--alpha", "0.5", "--gamma", "1", "--N", "4", "--J", "32", "--max-steps", "1"],
+         "max_steps must be >= 2"),
+    ]
+    for args, message in cases:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "memburgers.cli", "solve", "--example", "1", *args],
+            capture_output=True,
+            text=True,
+            env=_package_env(),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error_l2=" not in proc.stdout
+        assert message in proc.stderr
 
 
 def test_truncated_factor_is_the_same_under_optimize():

@@ -116,8 +116,8 @@ def test_study_plan_validation():
     # solver settings are checked by the SchemeConfig the study will run
     with pytest.raises(ValueError, match="eps must be positive and finite"):
         StudyPlan(**{**ok, "eps": math.inf})
-    with pytest.raises(ValueError, match="max_steps must be >= 1"):
-        StudyPlan(**{**ok, "max_steps": 0})
+    with pytest.raises(ValueError, match="max_steps must be >= 2"):
+        StudyPlan(**{**ok, "max_steps": 1})
     # counts that are not integers are refused, not run at truncated values
     for name, bad in (("base_n", 4.5), ("base_j", 8.5), ("levels", 2.0)):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
