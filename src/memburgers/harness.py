@@ -141,9 +141,11 @@ def gamma_from_rule(
     """Grading exponent >= 1 for a gamma rule at memory exponent alpha.
 
     auto-sigma takes 2/sigma(), the problem's regularity index, and is
-    refused when no sigma is given.
+    refused when no sigma is given.  A named rule needs 0 < alpha < 1.
     """
     if isinstance(rule, str):
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"gamma rule {rule}: alpha must be in (0, 1), got {alpha}")
         if rule == "2/(alpha+1)":
             value = 2.0 / (alpha + 1.0)
         elif rule == "2/(alpha+2)":

@@ -25,26 +25,29 @@ problems.f_half).
 The history H_n sums over every earlier step, a block of _BLOCK steps
 at a time (the lag-sum splitting of Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985), in O(N (_BLOCK + modes) J) flops and
-O((3 _BLOCK + modes) J) memory.  Alive are one block of weights
-(_BLOCK x 2 _BLOCK) and the rows k_s d_s of three blocks, in a ring d of
-(_BLOCK, J+1) slots, block i in slot i mod 3.  The rows hold k_s d_s so
-that the weights enter exactly as quadrature returns them; the rows of
-steps not yet taken hold their partial history until the step finishes
-and overwrites its row with its own k_n d_n.
+O((2 _BLOCK + modes) J) memory.  Alive are one block of weights
+(_BLOCK x 2 _BLOCK) and the rows k_s d_s of two blocks, in two buffers
+of (_BLOCK, J+1): cur, block i's, and prev, block i-1's (one buffer,
+both names, when N <= _BLOCK).  The rows hold k_s d_s so that the
+weights enter exactly as quadrature returns them; the rows of steps not
+yet taken hold their partial history until the step finishes and
+overwrites its row with its own k_n d_n.
 
   - Block phase, at the top of solve's outer loop: when block i, the
-    steps [b0, b1), starts, the far part of the history of all its steps,
-    s < b0, is written into its slot.  Its exact window, block i-1
-    (c0 <= s < b0, c0 = b0 - _BLOCK; empty for block 0), is one matrix
-    product with the block's rows of the weight table, built for the
-    columns c0..b1-1 only (see quadrature).  Its tail, s < c0, goes through
-    the sum-of-exponentials (SOE) modes of the kernel (see quadrature): a
-    state z, one row per mode, holds the tail at t_{b0-1}.  Per block z
-    decays from the last block's t_{b0-1} and takes block i-2, which just
-    left the window and so frees its slot (one matrix product); one more
-    product adds z into block i's slot.  The modes are built once per
-    solve, for the lags from the smallest t_{b0-1} - t_{c0-1} of the tail
-    blocks up to T.  With N <= 2 _BLOCK there is no tail and no modes.
+    steps [b0, b1), starts, cur still holds block i-2, and the far part of
+    the history of all block i's steps, s < b0, is written over it.  Its
+    tail, s < c0 = b0 - _BLOCK, goes through the sum-of-exponentials (SOE)
+    modes of the kernel (see quadrature): a state z, one row per mode,
+    holds the tail at t_{b0-1}.  First z decays from the last block's
+    t_{b0-1} and takes block i-2, which just left the window (one matrix
+    product).  Then block i's exact window, block i-1 in prev
+    (c0 <= s < b0; empty for block 0), is one matrix product with the
+    block's rows of the weight table, built for the columns c0..b1-1 only
+    (see quadrature), written into cur; one more product adds z.  The
+    buffers swap names when the block's steps are done.  The modes are
+    built once per solve, for the lags from the smallest t_{b0-1} - t_{c0-1}
+    of the tail blocks up to T.  With N <= 2 _BLOCK there is no tail and no
+    modes.
   - Step phase, the inner loop over the block's steps: step n adds its
     near part, the at most _BLOCK - 1 terms b0 <= s < n, to its row,
     which then holds H_n.
@@ -77,13 +80,13 @@ dpttrf and dpttrs are the LAPACK routines of the OpenBLAS that numpy
 itself loads: the ILP64 symbols scipy_dpttrf_64_ and scipy_dpttrs_64_,
 found through numpy's linalg extension and called with ctypes (numpy >= 2
 wheels export them; without them the import fails with one ImportError).
-They take raw addresses, so _Tridiagonal checks the arrays they work on
-once, when solve builds it, and builds every argument then; a call passes
-those prebuilt arguments and reads one int64 info cell.
+They take raw addresses, so every array they write through is allocated
+in _Tridiagonal, once per solve, which builds every argument then; a call
+passes those prebuilt arguments and reads one int64 info cell.
 
 The step loop allocates no full-length array but the one temporary of
-each convection_values call.  solve keeps one workspace: two iterate
-rows, the factor, one row for the step's right-hand side
+each convection_values call.  solve keeps one workspace: _Tridiagonal's
+two iterate rows, the factor and one row for the step's right-hand side
 a U^{n-1} + H_n + f^{n-1/2}, which is summed there (the near sum and
 f^{n-1/2} pass through the second iterate row first), and, beside U^{n-1},
 one row D = U^{n-1} - U^{n-2} (zero before step 1).  V_pred is written
@@ -91,7 +94,7 @@ from them straight into the first iterate row.  A pass writes N(V)
 into the other iterate row (convection_values with out), forms the
 right-hand side minus N(V) and solves there, takes the increment in place
 in V's row, and swaps the two rows.  After the passes k_n d2(V) goes
-straight into the step's row of d (second_diff_values with out),
+straight into the step's row of cur (second_diff_values with out),
 U^n = 2V - U^{n-1} (U^1 = V) is written over the spent D, D = U^n - U^{n-1}
 over U^{n-1}, and the two arrays swap names.  Each of these sums runs in
 the order the expressions above give, so the results do not depend on
@@ -227,36 +230,32 @@ class SolveResult:
 
 
 class _Tridiagonal:
-    """The step's tridiagonal system: its L D L^T factor d (m rows) and e
-    (max(m - 1, 1) entries; the padding is the m = 1 case), and the (2, m + 2)
-    iterate rows whose interiors the passes solve in; with every argument of
-    dpttrf (on the first n.value rows) and of dpttrs (on all m rows, in
-    either iterate row) built once.
+    """The step's tridiagonal system on J + 1 nodes, m = J - 1 of them
+    interior: its L D L^T factor d (m rows) and e (max(m - 1, 1) entries;
+    the padding is the m = 1 case), the (2, J + 1) iterate rows whose
+    interiors the passes solve in, and the step's right-hand side rhs
+    (m rows); with every argument of dpttrf (on the first n.value rows) and
+    of dpttrs (on all m rows, in either iterate row) built once.
 
-    LAPACK writes through the raw addresses, so the arrays are checked here:
-    float64, C-contiguous, of those shapes, else ValueError.  The arrays and
-    the int64 cells stay referenced here for as long as the arguments.
+    LAPACK writes through the raw addresses, so every array it sees is
+    allocated here, float64 and C-contiguous, and stays referenced here for
+    as long as the arguments, as do the int64 cells.
     """
 
-    def __init__(self, d: np.ndarray, e: np.ndarray, iterates: np.ndarray):
-        m = d.size
-        shapes = {"d": (d, (m,)), "e": (e, (max(m - 1, 1),)), "iterates": (iterates, (2, m + 2))}
-        for name, (array, shape) in shapes.items():
-            if not (array.dtype == np.float64 and array.flags.c_contiguous and array.shape == shape):
-                raise ValueError(
-                    f"_Tridiagonal: {name} must be a C-contiguous float64 array of shape {shape}, "
-                    f"got {array.dtype} {array.shape}"
-                )
-        self.d, self.e, self.iterates = d, e, iterates
+    def __init__(self, J: int):
+        m = J - 1
+        self.d, self.e = np.empty(m), np.empty(max(m - 1, 1))
+        self.iterates, self.rhs = np.zeros((2, J + 1)), np.empty(m)
         self.n = ctypes.c_int64()  # dpttrf's order, set before each call
         self.info = ctypes.c_int64()
         self._m, self._one = ctypes.c_int64(m), ctypes.c_int64(1)  # dpttrs's order (and ldb), nrhs
         cells = (self.n, self.info, self._m, self._one)
         n, info, m_, one = (ctypes.c_void_p(ctypes.addressof(cell)) for cell in cells)
-        d_, e_ = ctypes.c_void_p(d.ctypes.data), ctypes.c_void_p(e.ctypes.data)
+        d_, e_ = (ctypes.c_void_p(array.ctypes.data) for array in (self.d, self.e))
         self.factor_args = (n, d_, e_, info)
         self.solve_args = tuple(
-            (m_, one, d_, e_, ctypes.c_void_p(row[1:].ctypes.data), m_, info) for row in iterates
+            (m_, one, d_, e_, ctypes.c_void_p(row[1:].ctypes.data), m_, info)
+            for row in self.iterates
         )
 
 
@@ -322,20 +321,16 @@ def _factor(a: float, c: float, system: _Tridiagonal, step: int) -> None:
 
 
 def _picard(
-    system: _Tridiagonal,
-    rhs_base: np.ndarray,
-    h: float,
-    config: SchemeConfig,
-    step: int,
+    system: _Tridiagonal, h: float, config: SchemeConfig, step: int
 ) -> Tuple[np.ndarray, int, float]:
     """Lagged-convection fixed-point loop for one step, started from the
     iterate the caller left in system.iterates[0] (with zero ends).
 
-    Each pass solves A V = rhs_base - N(V_prev) at the interior nodes with
-    the factor of A that _factor left in system.  The passes run in
+    Each pass solves A V = system.rhs - N(V_prev) at the interior nodes
+    with the factor of A that _factor left in system.  The passes run in
     system.iterates, a (2, J+1) workspace: a pass writes N(V_prev) into the
     other row, forms its right-hand side and solves there, takes the
-    increment in place in V_prev's row, and swaps the rows.  rhs_base and
+    increment in place in V_prev's row, and swaps the rows.  system.rhs and
     the factor are left as they are.  An iterate is accepted from the second
     pass on, once the increment is below eps.  Returns (the row of iterates
     holding V, passes, final increment norm); a non-finite increment raises
@@ -346,11 +341,11 @@ def _picard(
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
         convection_values(v, h, out=spare)
-        rhs = spare[1:-1]
-        np.subtract(rhs_base, rhs, out=rhs)
+        new = spare[1:-1]  # the pass's right-hand side, then its solution
+        np.subtract(system.rhs, new, out=new)
         tridiagonal_solve(system, s)
         inner = v[1:-1]
-        inner -= rhs
+        inner -= new
         increment = norm_l2(v, h)
         v, spare, s = spare, v, 1 - s
         if passes > 1 and increment < config.eps:
@@ -403,8 +398,10 @@ def solve(
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     t, k = mesh.t, mesh.k
     starts = range(1, mesh.N + 1, _BLOCK)  # the blocks' first steps
-    # row r of slot i % len(d): k_s d2(V_s), s = b0 + r in block i, or its history until step s
-    d = np.zeros((min(3, len(starts)), min(_BLOCK, mesh.N), grid.J + 1))
+    # row r of cur: k_s d2(V_s), s = b0 + r in block i, or its history until step s;
+    # prev: block i - 1's rows
+    cur = np.zeros((min(_BLOCK, mesh.N), grid.J + 1))
+    prev = np.zeros_like(cur) if len(starts) > 1 else cur
     # the first block's weights before the forcing: bad weights fail first
     w = compute_weights(mesh, alpha, (1, min(1 + _BLOCK, mesh.N + 1)), first_col=1)
     tail = np.asarray(starts[2:])  # blocks with steps s < c0 = b0 - _BLOCK
@@ -414,13 +411,8 @@ def solve(
         z = np.zeros((lam.size, grid.J + 1))  # the tail state at t_{b0-1}, one row per mode
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
 
-    # the step's workspace: V (from its predictor) and the next pass's N(V),
-    # rhs and solution, with the L D L^T factor (see _Tridiagonal); the
-    # right-hand side rhs_base
-    m = grid.J - 1
-    system = _Tridiagonal(np.empty(m), np.empty(max(m - 1, 1)), np.zeros((2, grid.J + 1)))
-    iterates = system.iterates
-    rhs_base = np.empty(m)
+    system = _Tridiagonal(grid.J)  # the step's workspace
+    iterates, rhs = system.iterates, system.rhs
     trajectory = None
     if keep_trajectory:
         trajectory = np.empty((mesh.N + 1, grid.J + 1))
@@ -435,14 +427,15 @@ def solve(
             if i:
                 w = compute_weights(mesh, alpha, (b0, b1), first_col=c0)
             near = w[:, b0 - c0 :]  # columns b0..b1-1
-            rows = d[i % len(d), : b1 - b0]
-            np.matmul(w[:, : b0 - c0], d[(i - 1) % len(d), : b0 - c0], out=rows)  # exact window
             if c0 > 1:  # tail: decay z to t_{b0-1}, add block i - 2 (just left the window)
                 z *= np.exp(-lam * (t[b0 - 1] - t[c0 - 1]))[:, None]
-                p0 = c0 - _BLOCK  # block i - 2: steps p0..c0-1
+                p0 = c0 - _BLOCK  # block i - 2: steps p0..c0-1, still in cur
                 e = _soe_factors(lam, k[p0 - 1 : c0 - 1], t[b0 - 1] - t[p0:c0]).T
                 g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
-                z += e @ d[(i - 2) % len(d)]
+                z += e @ cur
+            rows = cur[: b1 - b0]  # block i's rows, written over block i - 2's
+            np.matmul(w[:, : b0 - c0], prev[: b0 - c0], out=rows)  # exact window
+            if c0 > 1:
                 rows += g @ z
             for r, n in enumerate(range(b0, b1)):  # step n: its near history, then its system
                 kn = float(k[n - 1])
@@ -450,15 +443,15 @@ def solve(
                 # iterates[1] is free until _picard: first the near sum, then f^{n-1/2}
                 rows[r] += np.matmul(near[r, :r], rows[:r], out=iterates[1])  # rows[r] now holds H_n
                 fh = np.matmul(factors[n - 1], profiles, out=iterates[1])
-                np.multiply(u_prev[1:-1], a, out=rhs_base)
-                rhs_base += rows[r, 1:-1]
-                rhs_base += fh[1:-1]
+                np.multiply(u_prev[1:-1], a, out=rhs)
+                rhs += rows[r, 1:-1]
+                rhs += fh[1:-1]
                 f_norm = norm_l2(fh, h)
                 # V_pred = U^{n-1} + k_n / (2 k_{n-1}) D, U^0 at step 1, in _picard's start row
                 np.multiply(diff, kn / (2.0 * float(k[n - 2])) if n > 1 else 0.0, out=iterates[0])
                 iterates[0] += u_prev
                 _factor(a, near[r, r] * kn / (h * h), system, step=n)
-                v, passes, increment = _picard(system, rhs_base, h, config, step=n)
+                v, passes, increment = _picard(system, h, config, step=n)
 
                 second_diff_values(v, h, out=rows[r])
                 rows[r] *= kn
@@ -475,6 +468,7 @@ def solve(
                 reports.append(StepReport(n, passes, increment, margin))
                 if trajectory is not None:
                     trajectory[n] = u_prev
+            cur, prev = prev, cur
 
     return SolveResult(
         mesh=mesh,

@@ -10,7 +10,7 @@ import textwrap
 from pathlib import Path
 
 import memburgers
-from memburgers import scheme
+from memburgers import harness, scheme
 from memburgers.quadrature import _BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,26 +41,46 @@ def test_bench_imports_resolve():
         assert hasattr(memburgers, name), f"bench/run.py imports missing {name!r}"
 
 
-def _scheme_callees():
+def _bench_literal(name):
+    """The literal value bench/run.py assigns to name, or None."""
     for node in ast.walk(_bench_module()):
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "SCHEME_CALLEES" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
     return None
 
 
 def test_bench_scheme_callees_exist():
-    callees = _scheme_callees()
+    callees = _bench_literal("SCHEME_CALLEES")
     assert callees, "bench/run.py no longer defines SCHEME_CALLEES"
     for attr in callees:
         assert hasattr(scheme, attr), f"memburgers.scheme has no {attr!r}"
 
 
+def test_bench_harness_names_exist():
+    # every study sample replaces harness.solve and harness.problem_by_name,
+    # and a traced one also the HARNESS_CALLEES; a harness that stopped
+    # importing one of them would break the benchmark
+    callees = _bench_literal("HARNESS_CALLEES")
+    literal = {
+        node.elts[1].value
+        for node in ast.walk(_bench_module())
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 3
+        and isinstance(node.elts[0], ast.Name)
+        and node.elts[0].id == "harness"
+        and isinstance(node.elts[1], ast.Constant)
+    }
+    assert callees and literal == {"solve", "problem_by_name"}
+    for attr in [*callees, *literal]:
+        assert hasattr(harness, attr), f"memburgers.harness has no {attr!r}"
+
+
 def test_bench_scheme_callees_are_called(monkeypatch):
     # the benchmark times each callee by wrapping the scheme attribute; one
     # that is still defined but no longer called would read 0 silently
-    calls = dict.fromkeys(_scheme_callees(), 0)
+    calls = dict.fromkeys(_bench_literal("SCHEME_CALLEES"), 0)
 
     def counted(attr, fn):
         def wrapper(*args, **kwargs):

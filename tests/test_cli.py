@@ -418,6 +418,19 @@ def test_weights_dump_named_rule_matches_number(capsys, rule, number):
     assert dumps[0] == dumps[1]
 
 
+@pytest.mark.parametrize("alpha, rule", [("-1", "2/(alpha+1)"), ("-2", "2/(alpha+2)")])
+def test_weights_dump_named_rule_refuses_alpha_out_of_range(capsys, alpha, rule):
+    # weights-dump builds no problem, so the rule itself must refuse an
+    # alpha outside (0, 1) before it divides by alpha + 1 or alpha + 2
+    code = main(["weights-dump", f"--alpha={alpha}", "--gamma", rule, "--N", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"memburgers: gamma rule {rule}: alpha must be in (0, 1), got {float(alpha)}"
+    ]
+
+
 def test_weights_dump_auto_sigma_rejected(capsys):
     code = main(["weights-dump", "--alpha", "0.5", "--gamma", "auto-sigma", "--N", "3"])
     assert code == 2

@@ -54,30 +54,29 @@ def test_tridiagonal_matches_dense_solve(m, monkeypatch):
     rhs = rng.normal(size=m)
     full = np.diag(np.full(m, a + 2.0 * c)) - c * (np.eye(m, k=1) + np.eye(m, k=-1))
     system = _system(m)  # its iterates start at zero
+    system.rhs[:] = rhs
     scheme._factor(a, c, system, step=1)
-    v, passes, increment = scheme._picard(
-        system, rhs, 1.0 / (m + 1), SchemeConfig(eps=1e-12), step=1
-    )
+    v, passes, increment = scheme._picard(system, 1.0 / (m + 1), SchemeConfig(eps=1e-12), step=1)
     assert passes == 2 and increment < 1e-12  # the second pass repeats the first
     assert v[0] == v[-1] == 0.0
     assert np.allclose(v[1:-1], np.linalg.solve(full, rhs), rtol=1e-12, atol=1e-13)
 
 
 def test_picard_leaves_its_inputs_unchanged():
-    # each pass works in place in the workspace, starting from the iterate
-    # the caller wrote into its first row, but the right-hand side is the
-    # caller's, and every pass solves with the same factor
+    # each pass works in place in the iterate rows, starting from the
+    # iterate the caller wrote into the first, but leaves the step's
+    # right-hand side as it is, and every pass solves with the same factor
     rng = np.random.default_rng(7)
     m = 31
     rhs = rng.normal(size=m)
-    rhs_in = rhs.copy()
     system = _system(m)
+    system.rhs[:] = rhs
     system.iterates[0, 1:-1] = rng.normal(size=m)
     scheme._factor(40.0, 3.0, system, step=1)
     factor_in = system.d.copy(), system.e.copy()
-    out, passes, _ = scheme._picard(system, rhs_in, 1.0 / (m + 1), SchemeConfig(), step=1)
+    out, passes, _ = scheme._picard(system, 1.0 / (m + 1), SchemeConfig(), step=1)
     assert passes > 1
-    assert rhs_in.tobytes() == rhs.tobytes()
+    assert system.rhs.tobytes() == rhs.tobytes()
     assert np.shares_memory(out, system.iterates)
     assert all(f.tobytes() == g.tobytes() for f, g in zip((system.d, system.e), factor_in))
 
@@ -108,39 +107,35 @@ def test_tridiagonal_rejected_argument_raises(monkeypatch):
         solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
 
 
-@pytest.mark.parametrize(
-    "m, name, make",
-    [
-        (6, "d", lambda buf, m: buf[:m].astype(np.float32)),
-        (6, "d", lambda buf, m: buf[: 2 * m : 2]),
-        (6, "d", lambda buf, m: buf[: m + 1]),
-        (6, "e", lambda buf, m: buf[: m - 1].astype(np.int64)),
-        (6, "e", lambda buf, m: buf[: 2 * (m - 1) : 2]),
-        (6, "e", lambda buf, m: buf[:m]),
-        (1, "e", lambda buf, m: buf[: m - 1]),  # m = 1 takes the padded off-diagonal
-        (6, "iterates", lambda buf, m: buf[: 4 * (m + 2)].reshape(2, 2 * (m + 2))[:, ::2]),
-        (6, "iterates", lambda buf, m: buf[: 2 * (m + 2)].reshape(m + 2, 2).T),
-        (6, "iterates", lambda buf, m: buf[: 2 * (m + 2)].reshape(2, m + 2).astype(np.float32)),
-        (6, "iterates", lambda buf, m: buf[: 3 * (m + 2)].reshape(3, m + 2)),
-    ],
-)
-def test_tridiagonal_refuses_arrays_lapack_cannot_take(m, name, make):
-    # LAPACK gets raw addresses and lengths, so a factor or a right-hand-side
-    # row of the wrong dtype, layout or length must be refused before any
-    # address is taken, and must leave memory as it was
-    buf = np.arange(1.0, 4.0 * (m + 2) + 1.0)
-    arrays = dict(d=np.empty(m), e=np.empty(max(m - 1, 1)), iterates=np.zeros((2, m + 2)))
-    arrays[name] = make(buf, m)
-    before = [a.tobytes() for a in (buf, *arrays.values())]
-    with pytest.raises(ValueError, match=r"_Tridiagonal: \w+ must be a C-contiguous float64 array"):
-        scheme._Tridiagonal(**arrays)
-    assert [a.tobytes() for a in (buf, *arrays.values())] == before
+@pytest.mark.parametrize("n_nodes", [2, 3, 7, 4096])
+def test_tridiagonal_workspace_is_what_lapack_takes(n_nodes):
+    # LAPACK gets raw addresses and lengths, so every array it writes
+    # through is allocated by _Tridiagonal itself: C-contiguous float64 of
+    # the exact shapes (J = 2: one interior node, the off-diagonal padded to
+    # one entry), each prebuilt address the data of its array, and the
+    # iterate rows zero, ends included
+    m = n_nodes - 1
+    system = scheme._Tridiagonal(n_nodes)
+    shapes = {"d": (m,), "e": (max(m - 1, 1),), "iterates": (2, n_nodes + 1), "rhs": (m,)}
+    for name, shape in shapes.items():
+        array = getattr(system, name)
+        assert array.dtype == np.float64 and array.flags.c_contiguous, name
+        assert array.shape == shape, name
+    assert not np.any(system.iterates)
+    d, e = system.d.ctypes.data, system.e.ctypes.data
+    n, info = ctypes.addressof(system.n), ctypes.addressof(system.info)
+    assert [a.value for a in system.factor_args] == [n, d, e, info]
+    for row, args in zip(system.iterates, system.solve_args):
+        assert [a.value for a in args[2:5]] == [d, e, row[1:].ctypes.data]
+        assert args[6].value == info
+        assert _cell(args[0]).value == _cell(args[5]).value == m
+        assert _cell(args[1]).value == 1
 
 
 def _system(m):
-    """The step's tridiagonal workspace for m interior nodes, as solve builds it;
-    the off-diagonal is padded to one entry when m = 1."""
-    return scheme._Tridiagonal(np.empty(m), np.empty(max(m - 1, 1)), np.zeros((2, m + 2)))
+    """The step's tridiagonal workspace for m interior nodes, as solve builds it
+    (J = m + 1)."""
+    return scheme._Tridiagonal(m + 1)
 
 
 def _cell(address):
@@ -298,8 +293,9 @@ def test_block_boundaries_match_dense_oracle(n_steps):
     # the history is summed a block of _BLOCK steps at a time (the block
     # before by one GEMM, older blocks through the SOE tail from the third
     # block on), then per step; steps on either side of each block boundary,
-    # the first tail block, and solves whose ring of three slots has turned
-    # over many times must agree with the oracle, which sums it term by term
+    # the first tail block, and solves whose two history buffers have
+    # swapped many times must agree with the oracle, which sums it term by
+    # term
     alpha = 0.4
     problem = example1(alpha)
     mesh = build_graded_mesh(1.0, n_steps, 2.0 / (alpha + 1.0))
@@ -312,9 +308,9 @@ def test_block_boundaries_match_dense_oracle(n_steps):
 
 def test_solve_never_builds_the_full_weight_table():
     # the weights are built one block of rows at a time; the whole
-    # (N+1)^2 table would be 33.6 MB here.  The rows k_s d2(V_s) live in a
-    # ring of three (_BLOCK, J+1) slots (0.8 MB), never in an (N+1, J+1)
-    # table (8.4 MB); the solve peaks near 2.3 MB in all
+    # (N+1)^2 table would be 33.6 MB here.  The rows k_s d2(V_s) live in
+    # two (_BLOCK, J+1) buffers (0.5 MB), never in an (N+1, J+1) table
+    # (8.4 MB); the solve peaks near 2 MB in all
     n_steps, n_nodes = 2048, 512
     mesh = build_graded_mesh(1.0, n_steps, 1.0)
     grid = build_spatial_grid(1.0, n_nodes)
@@ -326,6 +322,35 @@ def test_solve_never_builds_the_full_weight_table():
         tracemalloc.stop()
     assert peak < 0.5 * (n_steps + 1) ** 2 * 8
     assert peak < 0.5 * (n_steps + 1) * (n_nodes + 1) * 8
+
+
+def test_history_holds_two_blocks(monkeypatch):
+    # three blocks at J = 8192, where one (_BLOCK, J+1) slot of rows is
+    # 4.2 MB: at its peak the solve holds the two history buffers, the SOE
+    # state z and one product of z's size (the block that leaves the window,
+    # e @ cur, before it is added to z), plus O(J) rows; those rows fit in
+    # a margin of 48 rows of J+1, less than a slot, so a solve that kept a
+    # third slot of rows alive would not
+    modes, soe_modes = [], scheme._soe_modes
+
+    def counted(*args):
+        lam, omega = soe_modes(*args)
+        modes.append(lam.size)
+        return lam, omega
+
+    monkeypatch.setattr(scheme, "_soe_modes", counted)
+    n_steps, n_nodes = 3 * _BLOCK, 8192
+    mesh = build_graded_mesh(1.0, n_steps, 1.0)
+    grid = build_spatial_grid(1.0, n_nodes)
+    tracemalloc.start()
+    try:
+        solve(example1(0.5), mesh, grid, 0.5, SchemeConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = (n_nodes + 1) * 8
+    (n_modes,) = modes
+    assert peak < (2 * _BLOCK + 2 * n_modes + 48) * row
 
 
 @pytest.mark.parametrize("n_steps", [2 * _BLOCK + 1, 3 * _BLOCK + 1, 5 * _BLOCK + 1])
