@@ -21,8 +21,8 @@ and the skew-symmetric (Galerkin) convection form
 where mean3(w)_j = (w_{j-1} + w_j + w_{j+1})/3.  It satisfies
 <N(w), w> = 0 exactly, which is what the energy stability argument uses.
 convection_values evaluates the second, factored line.  Both operators
-write into out when it is given (an array of v's shape that does not
-overlap v), so the time stepper's passes allocate no full-length array;
+write into out (an array of v's shape that does not overlap v) and return
+it, so the time stepper's passes allocate no full-length array;
 second_diff_values takes no temporary, convection_values one of J - 1
 values.  second_diff_values sums (-2 w_j + w_{j+1}) + w_{j-1}, which
 rounds exactly as (w_{j+1} - 2 w_j) + w_{j-1} does.
@@ -31,7 +31,6 @@ rounds exactly as (w_{j+1} - 2 w_j) + w_{j-1} does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -61,8 +60,7 @@ def norm_l2(values: np.ndarray, h: float) -> float:
     return float(np.sqrt(h * np.dot(v, v)))
 
 
-def second_diff_values(v: np.ndarray, h: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    out = np.empty_like(v) if out is None else out
+def second_diff_values(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     out[0] = out[-1] = 0.0
     inner = out[1:-1]
     np.multiply(v[1:-1], -2.0, out=inner)
@@ -72,8 +70,7 @@ def second_diff_values(v: np.ndarray, h: float, out: Optional[np.ndarray] = None
     return out
 
 
-def convection_values(v: np.ndarray, h: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    out = np.empty_like(v) if out is None else out
+def convection_values(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
     out[0] = out[-1] = 0.0
     inner = out[1:-1]
     np.add(v[:-2], v[1:-1], out=inner)

@@ -72,9 +72,11 @@ factors the step's matrix once (LAPACK dpttrf, L D L^T).  The matrix has
 constant coefficients, so its pivots settle to one value after a number
 of rows that depends only on a/c; dpttrf factors only the rows up to
 there and the rest of the factor is filled in, bit for bit what the full
-factorization gives (see _factor).  _picard makes each pass one back
-substitution through tridiagonal_solve (dpttrs), kept as its own function
-so that a traced run can time the per-pass solve.
+factorization gives (see _factor).  The rows factored start where the
+last step's factor ended and double until the pivots have settled.
+_picard makes each pass one back substitution through tridiagonal_solve
+(dpttrs), kept as its own function so that a traced run can time the
+per-pass solve.
 
 dpttrf and dpttrs are the LAPACK routines of the OpenBLAS that numpy
 itself loads: the ILP64 symbols scipy_dpttrf_64_ and scipy_dpttrs_64_,
@@ -231,11 +233,12 @@ class SolveResult:
 
 class _Tridiagonal:
     """The step's tridiagonal system on J + 1 nodes, m = J - 1 of them
-    interior: its L D L^T factor d (m rows) and e (max(m - 1, 1) entries;
-    the padding is the m = 1 case), the (2, J + 1) iterate rows whose
-    interiors the passes solve in, and the step's right-hand side rhs
-    (m rows); with every argument of dpttrf (on the first n.value rows) and
-    of dpttrs (on all m rows, in either iterate row) built once.
+    interior: its L D L^T factor d (m rows) and e (m - 1 entries), the
+    (2, J + 1) iterate rows whose interiors the passes solve in, and the
+    step's right-hand side rhs (m rows); with every argument of dpttrf (on
+    the first n.value rows) and of dpttrs (on all m rows, in either iterate
+    row) built once.  n.value is min(m, 64) before the first factor, and
+    then the rows the last factor ended at, where _factor starts.
 
     LAPACK writes through the raw addresses, so every array it sees is
     allocated here, float64 and C-contiguous, and stays referenced here for
@@ -244,9 +247,9 @@ class _Tridiagonal:
 
     def __init__(self, J: int):
         m = J - 1
-        self.d, self.e = np.empty(m), np.empty(max(m - 1, 1))
+        self.d, self.e = np.empty(m), np.empty(m - 1)
         self.iterates, self.rhs = np.zeros((2, J + 1)), np.empty(m)
-        self.n = ctypes.c_int64()  # dpttrf's order, set before each call
+        self.n = ctypes.c_int64(min(m, 64))  # dpttrf's order, carried from step to step
         self.info = ctypes.c_int64()
         self._m, self._one = ctypes.c_int64(m), ctypes.c_int64(1)  # dpttrs's order (and ldb), nrhs
         cells = (self.n, self.info, self._m, self._one)
@@ -267,33 +270,19 @@ def tridiagonal_solve(system: _Tridiagonal, row: int) -> None:
         raise ValueError(f"tridiagonal_solve: dpttrs rejected argument {-system.info.value}")
 
 
-def _pivot_rows(a: float, c: float, m: int) -> int:
-    """Rows after which dpttrf's pivots of the step's matrix are predicted constant.
-
-    The pivots d_1 = a + 2c, d_{i+1} = a + 2c - c^2 / d_i approach
-    d_inf = ((a + 2c) + sqrt(a (a + 4c))) / 2 with an error that shrinks
-    like rho^(2i), rho = c / d_inf, so they round to one value after about
-    ln(2^-53) / (2 ln rho) = 18.4 / -ln rho rows.  The prediction is
-    40 / -ln rho + 16 rows, a little over twice that, capped at m; m when
-    rho rounds to 1.
-    """
-    d_inf = ((a + 2.0 * c) + math.sqrt(a * (a + 4.0 * c))) / 2.0
-    decay = math.log(d_inf / c)  # -ln rho; inf when d_inf overflows
-    return min(m, int(40.0 / decay) + 16) if decay > 0.0 else m
-
-
 def _factor(a: float, c: float, system: _Tridiagonal, step: int) -> None:
     """Factor the step's matrix, diagonal a + 2c and off-diagonal -c, as L D L^T
     in system's d and e.
 
-    d has the m rows, e max(m - 1, 1) entries.  dpttrf's pivot recurrence reads
-    only the previous pivot, so the factor of the first n rows is the first
-    n rows of the full factor, and once two pivots in a row are equal every
+    d has the m rows, e m - 1 entries.  dpttrf's pivot recurrence reads only
+    the previous pivot, so the factor of the first n rows is the first n
+    rows of the full factor, and once two pivots in a row are equal every
     later pivot equals them and every later e_i = -c / d_i equals the last.
-    So LAPACK factors only the first n = _pivot_rows rows, and the rest is
-    filled in; if the pivots have not settled by row n, n doubles.  n = m is
-    the full factorization.  d and e come out bit for bit as dpttrf on all
-    m rows leaves them.
+    So LAPACK factors only the first n rows, and the rest is filled in; if
+    the pivots have not settled by row n, n doubles.  n = m is the full
+    factorization.  n starts at system.n, the rows the last step's factor
+    ended at (min(m, 64) at the first step), and is left there for the next
+    step.  d and e come out bit for bit as dpttrf on all m rows leaves them.
     """
     if not (a > 0.0 and c > 0.0 and a + 2.0 * c < math.inf):
         # a > 0 is exactly the strict diagonal dominance margin of the
@@ -302,11 +291,10 @@ def _factor(a: float, c: float, system: _Tridiagonal, step: int) -> None:
         raise ValueError(f"step {step}: tridiagonal system lost diagonal dominance (c = {c})")
     d, e = system.d, system.e
     m = d.size
-    n = _pivot_rows(a, c, m)
     while True:
+        n = system.n.value
         d[:n] = a + 2.0 * c
-        e[: max(n - 1, 1)] = -c
-        system.n.value = n
+        e[: n - 1] = -c
         dpttrf(*system.factor_args)
         info = system.info.value
         if info != 0:
@@ -317,7 +305,7 @@ def _factor(a: float, c: float, system: _Tridiagonal, step: int) -> None:
             d[n:] = d[n - 1]
             e[n - 1 :] = e[n - 2]
             return
-        n = min(2 * n, m)
+        system.n.value = min(2 * n, m)
 
 
 def _picard(

@@ -184,10 +184,10 @@ def test_criterion_6_discrete_identities():
             def close(lhs, rhs):
                 assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
-            nw = convection_values(wv, h)
+            nw = convection_values(wv, h, np.empty_like(wv))
             assert abs(ip(nw, wv)) <= 1e-12 * (1.0 + norm_l2(nw, h) * norm_l2(wv, h))
             close(
-                ip(second_diff_values(wv, h), vv),
+                ip(second_diff_values(wv, h, np.empty_like(wv)), vv),
                 -h * float(np.dot(staggered_diff(wv, h), staggered_diff(vv, h))),
             )
             close(

@@ -113,6 +113,31 @@ def test_package_modules_use_every_import():
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
+def test_package_defines_only_what_it_uses():
+    # helpers used only by tests live under tests/: every top-level function
+    # and class of the package is called, imported, taken as an attribute
+    # or exported through __all__ somewhere in the package itself
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {a.name for a in node.names}
+    unused = [f"{module}:{name}" for module, name in defined if name not in used]
+    assert not unused, f"defined but never used by the package: {unused}"
+
+
 def test_package_modules_have_no_assert():
     # python -O strips assert statements, so checks must raise instead; the
     # test oracles count too, since a dropped check there passes silently

@@ -4,6 +4,7 @@ dense-solver oracle."""
 
 import ctypes
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -43,7 +44,7 @@ def _zero_problem(alpha=0.5):
 def test_tridiagonal_matches_dense_solve(m, monkeypatch):
     # with the convection switched off every pass solves the step's linear
     # system alone: diagonal a + 2c, off-diagonal -c, m interior nodes
-    # (m = 1 takes the padded off-diagonal)
+    # (m = 1 has an empty off-diagonal)
     def no_convection(v, h, out):
         out[:] = 0.0
         return out
@@ -111,17 +112,18 @@ def test_tridiagonal_rejected_argument_raises(monkeypatch):
 def test_tridiagonal_workspace_is_what_lapack_takes(n_nodes):
     # LAPACK gets raw addresses and lengths, so every array it writes
     # through is allocated by _Tridiagonal itself: C-contiguous float64 of
-    # the exact shapes (J = 2: one interior node, the off-diagonal padded to
-    # one entry), each prebuilt address the data of its array, and the
-    # iterate rows zero, ends included
+    # the exact shapes (J = 2: one interior node, an empty off-diagonal),
+    # each prebuilt address the data of its array, the iterate rows zero,
+    # ends included, and the first factor's order at most 64 rows
     m = n_nodes - 1
     system = scheme._Tridiagonal(n_nodes)
-    shapes = {"d": (m,), "e": (max(m - 1, 1),), "iterates": (2, n_nodes + 1), "rhs": (m,)}
+    shapes = {"d": (m,), "e": (m - 1,), "iterates": (2, n_nodes + 1), "rhs": (m,)}
     for name, shape in shapes.items():
         array = getattr(system, name)
         assert array.dtype == np.float64 and array.flags.c_contiguous, name
         assert array.shape == shape, name
     assert not np.any(system.iterates)
+    assert system.n.value == min(m, 64)
     d, e = system.d.ctypes.data, system.e.ctypes.data
     n, info = ctypes.addressof(system.n), ctypes.addressof(system.info)
     assert [a.value for a in system.factor_args] == [n, d, e, info]
@@ -155,38 +157,78 @@ def _count_factor_rows(monkeypatch):
     return rows
 
 
+def _assert_factors_carried(calls, n_steps, m):
+    """The dpttrf calls of a solve of n_steps steps on m interior nodes: one
+    a step, plus one per doubling of the rows, which start at min(m, 64) and
+    never shrink (each step starts where the last one ended)."""
+    assert n_steps <= len(calls) <= n_steps + math.ceil(math.log2(m / 64)) + 1
+    assert calls == sorted(calls) and calls[0] == min(m, 64)
+
+
+class _Untruncated(scheme._Tridiagonal):
+    """A step workspace whose first factor starts at all m = J - 1 rows."""
+
+    def __init__(self, J):
+        super().__init__(J)
+        self.n.value = J - 1
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 17, 255, 4095, 16383])
 def test_truncated_factor_is_bit_identical(m, monkeypatch):
     # _factor runs dpttrf only on the rows before the pivots settle and
     # fills in the rest; d and e must be what dpttrf leaves on all m rows,
     # for a/c from 1e-40 (rho rounds to 1: every row is factored) to 1e6,
-    # and also from a start of 2 rows, too short, so that n doubles; the
-    # full factor comes from scipy's own LAPACK, an independent build
-    predicted = scheme._pivot_rows
+    # from a start of 2 rows (too short, so that n doubles), of 64 (the
+    # first step's) and of m; the full factor comes from scipy's own
+    # LAPACK, an independent build
     calls = _count_factor_rows(monkeypatch)
-    assert predicted(1e-40, 1.0, m) == m
     for c in (1.0, 6.7e7):
         for ratio in [1e-40] + [10.0**p for p in range(-18, 7, 3)]:
             a = ratio * c
             d_full, e_full, info = scipy_dpttrf(np.full(m, a + 2.0 * c), np.full(max(m - 1, 1), -c))
             assert info == 0
-            for start in (predicted, lambda a, c, m: min(m, 2)):
-                monkeypatch.setattr(scheme, "_pivot_rows", start)
+            for start in sorted({min(m, 2), min(m, 64), m}):
                 calls.clear()
                 system = _system(m)
+                system.n.value = start
                 scheme._factor(a, c, system, step=1)
                 assert system.d.tobytes() == d_full.tobytes()
-                assert system.e.tobytes() == e_full.tobytes()
-                if start is predicted:
-                    assert calls == [predicted(a, c, m)]  # the prediction is never short
-                elif m > 2:
-                    assert len(calls) > 1 and calls[-1] <= m
+                assert system.e.tobytes() == e_full[: m - 1].tobytes()
+                assert calls[0] == start and system.n.value == calls[-1]
+                assert calls[1:] == [min(2 * n, m) for n in calls[:-1]]  # doubling
+                if start == m or ratio == 1e-40:
+                    assert calls[-1] == m
+                elif start == 2 and m > 2:
+                    assert len(calls) > 1
+
+
+def test_factor_starts_at_the_rows_the_last_step_ended_at(monkeypatch):
+    # a step whose pivots settle within 64 rows, after one whose pivots
+    # needed more, factors in one call of the carried rows, and still
+    # leaves the factor dpttrf gives on all m rows
+    calls = _count_factor_rows(monkeypatch)
+    m = 4095
+    system = _system(m)
+    scheme._factor(1e-4, 1.0, system, step=1)  # rho about 0.99: settles late
+    carried = calls[-1]
+    assert 64 < carried < m and system.n.value == carried
+    calls.clear()
+    a, c = 1e3, 1.0  # settles within a few rows
+    scheme._factor(a, c, system, step=2)
+    assert calls == [carried] and system.n.value == carried
+    d_full, e_full, info = scipy_dpttrf(np.full(m, a + 2.0 * c), np.full(m - 1, -c))
+    assert info == 0
+    assert system.d.tobytes() == d_full.tobytes() and system.e.tobytes() == e_full.tobytes()
+    calls.clear()
+    scheme._factor(a, c, _system(m), step=1)
+    assert calls == [64]  # on its own, the same step needs no more than the start
 
 
 def test_factor_is_truncated_on_every_singular_study_step(monkeypatch):
     # the benchmark's singular_study workload (example 2, alpha 0.75,
     # interval_average, gamma auto-sigma, J = 4096) at its finest level,
-    # N = 512: every step factors fewer than m = 4095 rows, in one call
+    # N = 512: every step factors fewer than m = 4095 rows, one call a step
+    # but for the doublings of the carried rows
     calls = _count_factor_rows(monkeypatch)
     problem = example2(0.75)
     mesh = build_graded_mesh(1.0, 512, resolve_gamma("auto-sigma", problem, "interval_average"))
@@ -196,14 +238,14 @@ def test_factor_is_truncated_on_every_singular_study_step(monkeypatch):
     for n in range(1, mesh.N + 1):
         kn = float(mesh.k[n - 1])
         scheme._factor((1.0 if n == 1 else 2.0) / kn, w_nn[n - 1] * kn / (grid.h * grid.h), system, step=n)
-    assert len(calls) == mesh.N
+    _assert_factors_carried(calls, mesh.N, grid.J - 1)
     assert max(calls) < grid.J - 1
 
 
 def test_truncated_factor_leaves_the_solve_bit_identical(monkeypatch):
     # on this gamma-3 mesh the pivots of the first steps settle within
-    # m = 4095 rows; with the truncation switched off every bit of the
-    # trajectory and of the reports must stay the same
+    # m = 4095 rows; against a solve whose every factor starts at all m
+    # rows, every bit of the trajectory and of the reports must stay the same
     calls = _count_factor_rows(monkeypatch)
     problem = example2(0.75)
     mesh = build_graded_mesh(1.0, 8, 3.0)
@@ -212,7 +254,7 @@ def test_truncated_factor_leaves_the_solve_bit_identical(monkeypatch):
     short = solve(problem, mesh, grid, problem.alpha, config, keep_trajectory=True)
     assert min(calls) < grid.J - 1
     calls.clear()
-    monkeypatch.setattr(scheme, "_pivot_rows", lambda a, c, m: m)
+    monkeypatch.setattr(scheme, "_Tridiagonal", _Untruncated)
     full = solve(problem, mesh, grid, problem.alpha, config, keep_trajectory=True)
     assert calls == [grid.J - 1] * mesh.N
     assert short.trajectory.tobytes() == full.trajectory.tobytes()
@@ -530,8 +572,9 @@ def test_solve_evaluates_each_profile_once():
 
 def test_solve_factors_once_per_step_and_solves_once_per_pass(monkeypatch):
     # at J = 16 each step factors all J - 1 rows; at J = 256 on the uniform
-    # 128-step mesh the pivots settle within the first 249 rows, so each
-    # step factors fewer rows, still in one dpttrf call
+    # 128-step mesh the pivots settle within the first 128 rows, so each
+    # step factors fewer rows, in one dpttrf call but for the doublings of
+    # the carried rows
     solves, tridiagonal_solve = [], scheme.tridiagonal_solve
 
     def counted_solve(system, row):
@@ -549,7 +592,8 @@ def test_solve_factors_once_per_step_and_solves_once_per_pass(monkeypatch):
         if n_nodes == 16:
             assert factors == [grid.J - 1] * mesh.N
         else:
-            assert len(factors) == mesh.N and max(factors) < grid.J - 1
+            _assert_factors_carried(factors, mesh.N, grid.J - 1)
+            assert max(factors) < grid.J - 1
         assert len(solves) == sum(r.iterations for r in result.reports)
         assert len(solves) > mesh.N  # some step took more than one pass
         assert set(solves) == {grid.J - 1}
