@@ -6,10 +6,8 @@ the L2 norm sums over interior nodes only:
 
     ||w|| = sqrt(h * sum_{s=1}^{J-1} w_s^2).
 
-The norm and the two operators the time stepper uses are array kernels
-that take nodal values and h.  The operators are valid at interior nodes
-and return full-length arrays with zero boundary entries: the second
-divided difference
+The norm takes nodal values and h.  The two operators the time stepper
+uses are valid at interior nodes: the second divided difference
 
     d2(w)_j = (w_{j+1} - 2 w_j + w_{j-1}) / h**2
 
@@ -20,12 +18,21 @@ and the skew-symmetric (Galerkin) convection form
 
 where mean3(w)_j = (w_{j-1} + w_j + w_{j+1})/3.  It satisfies
 <N(w), w> = 0 exactly, which is what the energy stability argument uses.
-convection_values evaluates the second, factored line.  Both operators
-write into out (an array of v's shape that does not overlap v) and return
-it, so the time stepper's passes allocate no full-length array;
-second_diff_values takes no temporary, convection_values one of J - 1
-values.  second_diff_values sums (-2 w_j + w_{j+1}) + w_{j-1}, which
-rounds exactly as (w_{j+1} - 2 w_j) + w_{j-1} does.
+
+Their kernels take the three views left = w[:-2], mid = w[1:-1] and
+right = w[2:] (w_{j-1}, w_j, w_{j+1} at j = 1..J-1) and write the J - 1
+interior values into out (a view that overlaps none of them), which they
+return; they write no end value and divide nowhere, so the caller folds
+the constants into its own scalars:
+
+  - second_diff_values writes scale * (w_{j+1} - 2 w_j + w_{j-1}), so
+    scale = 1/h**2 gives d2(w); it sums (-2 w_j + w_{j+1}) + w_{j-1},
+    which rounds exactly as (w_{j+1} - 2 w_j) + w_{j-1} does;
+  - convection_values writes 6h N(w), the second line above without its
+    1/(6h), and takes a temporary tmp of J - 1 values from the caller.
+
+The time stepper builds the views and the temporary once per solve, so
+its passes slice and allocate nothing.
 """
 
 from __future__ import annotations
@@ -60,21 +67,21 @@ def norm_l2(values: np.ndarray, h: float) -> float:
     return float(np.sqrt(h * np.dot(v, v)))
 
 
-def second_diff_values(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    out[0] = out[-1] = 0.0
-    inner = out[1:-1]
-    np.multiply(v[1:-1], -2.0, out=inner)
-    inner += v[2:]
-    inner += v[:-2]
-    inner /= h * h
+def second_diff_values(
+    left: np.ndarray, mid: np.ndarray, right: np.ndarray, scale: float, out: np.ndarray
+) -> np.ndarray:
+    np.multiply(mid, -2.0, out=out)
+    out += right
+    out += left
+    out *= scale
     return out
 
 
-def convection_values(v: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
-    out[0] = out[-1] = 0.0
-    inner = out[1:-1]
-    np.add(v[:-2], v[1:-1], out=inner)
-    inner += v[2:]
-    inner *= v[2:] - v[:-2]
-    inner /= 6.0 * h
+def convection_values(
+    left: np.ndarray, mid: np.ndarray, right: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    np.add(left, mid, out=out)
+    out += right
+    np.subtract(right, left, out=tmp)
+    out *= tmp
     return out

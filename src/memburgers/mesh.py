@@ -112,7 +112,7 @@ class SpatialGrid:
         if J < 2:
             raise ValueError(f"SpatialGrid: J must be >= 2, got {J}")
         h = L / J
-        if not (h * h > 0.0 and math.isfinite(1.0 / (h * h))):  # the scheme divides by h^2
+        if not (h * h > 0.0 and math.isfinite(1.0 / (h * h))):  # d2 scales by 1/h^2
             raise ValueError(f"SpatialGrid: 1/h^2 is not finite for h = L/J = {L!r}/{J} = {h!r}")
         # linspace pins both endpoints exactly and is uniform to roundoff
         for name, value in dict(L=L, J=J, h=h, x=np.linspace(0.0, L, J + 1)).items():

@@ -22,16 +22,28 @@ sources f^{n-1/2} of all steps come from one table of time factors and
 one evaluation of each forcing profile, built before the first step (see
 problems.f_half).
 
+solve scales each step's system by 6h, so that neither a Picard pass nor
+the second difference after the passes divides:
+
+    6h a (V - U^{n-1}) + 6h N(V) = w_nn 6h k_n d2(V) + 6h (H_n + f^{n-1/2}).
+
+6h N(V) is what convection_values gives (see gridops), and the rows of
+the history hold 6h k_s d_s, which second_diff_values writes with the
+one scale 6h k_s / h^2 = 6 k_s / h.
+
 The history H_n sums over every earlier step, a block of _BLOCK steps
 at a time (the lag-sum splitting of Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985), in O(N (_BLOCK + modes) J) flops and
 O((2 _BLOCK + modes) J) memory.  Alive are one block of weights
-(_BLOCK x 2 _BLOCK) and the rows k_s d_s of two blocks, in two buffers
+(_BLOCK x 2 _BLOCK), the rows 6h k_s d_s of two blocks, in two buffers
 of (_BLOCK, J+1): cur, block i's, and prev, block i-1's (one buffer,
-both names, when N <= _BLOCK).  The rows hold k_s d_s so that the
-weights enter exactly as quadrature returns them; the rows of steps not
-yet taken hold their partial history until the step finishes and
-overwrites its row with its own k_n d_n.
+both names, when N <= _BLOCK), and one scratch of (_SUB, J+1) that every
+matrix product of the history and of the sources is written into before
+it is added where it belongs, so that no product of a block's or of z's
+size is ever allocated.  The weights enter the rows exactly as quadrature
+returns them; the rows of steps not yet taken hold their partial history
+(and, from their sub-block's start, their source) until the step
+finishes and overwrites its row with its own 6h k_n d_n.
 
   - Block phase, at the top of solve's outer loop: when block i, the
     steps [b0, b1), starts, cur still holds block i-2, and the far part of
@@ -40,23 +52,30 @@ overwrites its row with its own k_n d_n.
     modes of the kernel (see quadrature): a state z, one row per mode,
     holds the tail at t_{b0-1}.  First z decays from the last block's
     t_{b0-1} and takes block i-2, which just left the window (one matrix
-    product).  Then block i's exact window, block i-1 in prev
-    (c0 <= s < b0; empty for block 0), is one matrix product with the
-    block's rows of the weight table, built for the columns c0..b1-1 only
-    (see quadrature), written into cur; one more product adds z.  The
+    product, _SUB modes at a time through the scratch).  Then block i's
+    exact window, block i-1 in prev (c0 <= s < b0; empty for block 0), is
+    one matrix product with the block's rows of the weight table, built
+    for the columns c0..b1-1 only (see quadrature), written into cur.  The
     buffers swap names when the block's steps are done.  The modes are
     built once per solve, for the lags from the smallest t_{b0-1} - t_{c0-1}
     of the tail blocks up to T.  With N <= 2 _BLOCK there is no tail and no
     modes.
-  - Step phase, the inner loop over the block's steps: step n adds its
-    near part, the at most _BLOCK - 1 terms b0 <= s < n, to its row,
-    which then holds H_n.
+  - Sub-block phase: the block's steps run _SUB at a time.  When a
+    sub-block starts, the scratch takes three products in turn, each
+    added into the sub-block's rows: the tail, its rows of the SOE
+    factors times z; the near terms of the block's finished steps, one
+    matrix product with those rows; and the sub-block's sources
+    f^{n-1/2} = factors[n-1] @ profiles (see problems.f_half), whose norms
+    for the energy bound are taken there, all rows at once.
+  - Step phase: step n adds the near terms of the finished steps of its
+    own sub-block, at most _SUB - 1, to its row, which then holds
+    6h (H_n + f^{n-1/2}).
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
 strictly diagonally dominant (hence positive definite) tridiagonal system
 
-    diag  a + 2c,  off-diagonal  -c,      c = w_nn k_n / h^2.
+    diag  6h (a + 2c),  off-diagonal  -6h c,      c = w_nn k_n / h^2.
 
 The iteration starts from the extrapolated half level
 
@@ -86,21 +105,20 @@ They take raw addresses, so every array they write through is allocated
 in _Tridiagonal, once per solve, which builds every argument then; a call
 passes those prebuilt arguments and reads one int64 info cell.
 
-The step loop allocates no full-length array but the one temporary of
-each convection_values call.  solve keeps one workspace: _Tridiagonal's
-two iterate rows, the factor and one row for the step's right-hand side
-a U^{n-1} + H_n + f^{n-1/2}, which is summed there (the near sum and
-f^{n-1/2} pass through the second iterate row first), and, beside U^{n-1},
-one row D = U^{n-1} - U^{n-2} (zero before step 1).  V_pred is written
-from them straight into the first iterate row.  A pass writes N(V)
-into the other iterate row (convection_values with out), forms the
-right-hand side minus N(V) and solves there, takes the increment in place
-in V's row, and swaps the two rows.  After the passes k_n d2(V) goes
-straight into the step's row of cur (second_diff_values with out),
-U^n = 2V - U^{n-1} (U^1 = V) is written over the spent D, D = U^n - U^{n-1}
-over U^{n-1}, and the two arrays swap names.  Each of these sums runs in
-the order the expressions above give, so the results do not depend on
-the layout.
+The step loop allocates no full-length array.  solve keeps one
+workspace: the scratch, _Tridiagonal's two iterate rows, the factor, one
+row for the step's right-hand side 6h a U^{n-1} + (the step's row), and
+one temporary, and, beside U^{n-1}, one row D = U^{n-1} - U^{n-2} (zero
+before step 1).  V_pred is written from them straight into the first
+iterate row.  _Tridiagonal also builds, for either iterate row, the views
+a pass reads and writes, so that a pass is a fixed sequence of calls that
+slices nothing, allocates nothing and writes no end value (the ends stay
+zero): 6h N(V) into the interior of the other row (convection_values),
+the right-hand side minus that, the solve there, and the increment in
+place in V's row, which the next pass solves in.  After the passes
+6h k_n d2(V) goes straight into the step's row of cur
+(second_diff_values), U^n = 2V - U^{n-1} (U^1 = V) is written over the
+spent D, D = U^n - U^{n-1} over U^{n-1}, and the two arrays swap names.
 
 Every step checks the energy bound
 
@@ -140,6 +158,7 @@ __all__ = [
 ]
 
 _STABILITY_SLACK = 1e-9
+_SUB = 8  # steps per sub-block: the rows of the one scratch of products
 _BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L, t) = 0
 
 # Fortran calling convention: every argument by address, integers int64
@@ -234,11 +253,14 @@ class SolveResult:
 class _Tridiagonal:
     """The step's tridiagonal system on J + 1 nodes, m = J - 1 of them
     interior: its L D L^T factor d (m rows) and e (m - 1 entries), the
-    (2, J + 1) iterate rows whose interiors the passes solve in, and the
-    step's right-hand side rhs (m rows); with every argument of dpttrf (on
-    the first n.value rows) and of dpttrs (on all m rows, in either iterate
-    row) built once.  n.value is min(m, 64) before the first factor, and
-    then the rows the last factor ended at, where _factor starts.
+    (2, J + 1) iterate rows whose interiors the passes solve in, the
+    step's right-hand side rhs (m rows) and a temporary tmp (m rows); with
+    every argument of dpttrf (on the first n.value rows) and of dpttrs (on
+    all m rows, in either iterate row) built once.  n.value is min(m, 64)
+    before the first factor, and then the rows the last factor ended at,
+    where _factor starts.  views[s] holds what a pass that solves in
+    iterate row s reads and writes: the views left, mid, right of the other
+    row, V's (see gridops), and the interior of row s.
 
     LAPACK writes through the raw addresses, so every array it sees is
     allocated here, float64 and C-contiguous, and stays referenced here for
@@ -248,7 +270,11 @@ class _Tridiagonal:
     def __init__(self, J: int):
         m = J - 1
         self.d, self.e = np.empty(m), np.empty(m - 1)
-        self.iterates, self.rhs = np.zeros((2, J + 1)), np.empty(m)
+        self.iterates, self.rhs, self.tmp = np.zeros((2, J + 1)), np.empty(m), np.empty(m)
+        self.views = tuple(
+            (v[:-2], v[1:-1], v[2:], row[1:-1])
+            for row, v in zip(self.iterates, self.iterates[::-1])
+        )
         self.n = ctypes.c_int64(min(m, 64))  # dpttrf's order, carried from step to step
         self.info = ctypes.c_int64()
         self._m, self._one = ctypes.c_int64(m), ctypes.c_int64(1)  # dpttrs's order (and ldb), nrhs
@@ -287,7 +313,7 @@ def _factor(a: float, c: float, system: _Tridiagonal, step: int) -> None:
     if not (a > 0.0 and c > 0.0 and a + 2.0 * c < math.inf):
         # a > 0 is exactly the strict diagonal dominance margin of the
         # matrix; dpttrs does not check finiteness, so an infinite
-        # diagonal (h^2 underflowing to 0) is refused here
+        # diagonal (a weight or 6 k_n / h that overflows) is refused here
         raise ValueError(f"step {step}: tridiagonal system lost diagonal dominance (c = {c})")
     d, e = system.d, system.e
     m = d.size
@@ -314,30 +340,32 @@ def _picard(
     """Lagged-convection fixed-point loop for one step, started from the
     iterate the caller left in system.iterates[0] (with zero ends).
 
-    Each pass solves A V = system.rhs - N(V_prev) at the interior nodes
-    with the factor of A that _factor left in system.  The passes run in
-    system.iterates, a (2, J+1) workspace: a pass writes N(V_prev) into the
-    other row, forms its right-hand side and solves there, takes the
-    increment in place in V_prev's row, and swaps the rows.  system.rhs and
-    the factor are left as they are.  An iterate is accepted from the second
-    pass on, once the increment is below eps.  Returns (the row of iterates
-    holding V, passes, final increment norm); a non-finite increment raises
+    Each pass solves A V = system.rhs - 6h N(V_prev) at the interior nodes
+    with the factor of A that _factor left in system (solve scales the
+    step's system by 6h, so that the pass need not divide).  The passes
+    run in system.iterates, a (2, J+1) workspace, through the views
+    system.views prebuilt for either row: a pass writes 6h N(V_prev) into
+    the interior of the other row, forms its right-hand side and solves
+    there, and takes the increment in place in V_prev's row, which the next
+    pass solves in.  No pass writes an end value, so the ends stay zero.
+    system.rhs and the factor are left as they are.  An iterate is accepted
+    from the second pass on, once the increment (its discrete L2 norm, as
+    norm_l2 takes it) is below eps.  Returns (the row of iterates holding V,
+    passes, final increment norm); a non-finite increment raises
     NonconvergenceError at once.
     """
-    v, spare = system.iterates  # their ends stay zero: the start's, and convection_values'
-    s = 1  # spare's row in iterates
+    rhs, tmp = system.rhs, system.tmp
     increment = math.inf
     for passes in range(1, config.max_steps + 1):
-        convection_values(v, h, out=spare)
-        new = spare[1:-1]  # the pass's right-hand side, then its solution
-        np.subtract(system.rhs, new, out=new)
+        s = passes % 2  # the row this pass solves in; V_prev is in the other
+        left, mid, right, new = system.views[s]
+        convection_values(left, mid, right, new, tmp)  # new: the right-hand side, then V
+        np.subtract(rhs, new, out=new)
         tridiagonal_solve(system, s)
-        inner = v[1:-1]
-        inner -= new
-        increment = norm_l2(v, h)
-        v, spare, s = spare, v, 1 - s
+        mid -= new
+        increment = math.sqrt(h * np.dot(mid, mid))
         if passes > 1 and increment < config.eps:
-            return v, passes, increment
+            return system.iterates[s], passes, increment
         if not math.isfinite(increment):
             raise NonconvergenceError(step=step, iterations=passes, increment=increment)
     raise NonconvergenceError(step=step, iterations=config.max_steps, increment=increment)
@@ -386,7 +414,7 @@ def solve(
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     t, k = mesh.t, mesh.k
     starts = range(1, mesh.N + 1, _BLOCK)  # the blocks' first steps
-    # row r of cur: k_s d2(V_s), s = b0 + r in block i, or its history until step s;
+    # row r of cur: 6h k_s d2(V_s), s = b0 + r in block i, or its history until step s;
     # prev: block i - 1's rows
     cur = np.zeros((min(_BLOCK, mesh.N), grid.J + 1))
     prev = np.zeros_like(cur) if len(starts) > 1 else cur
@@ -401,6 +429,8 @@ def solve(
 
     system = _Tridiagonal(grid.J)  # the step's workspace
     iterates, rhs = system.iterates, system.rhs
+    scratch = np.empty((_SUB, grid.J + 1))  # one sub-block's products, one at a time
+    six_h = 6.0 * h  # the step's system is scaled by 6h: rows, rhs and factor
     trajectory = None
     if keep_trajectory:
         trajectory = np.empty((mesh.N + 1, grid.J + 1))
@@ -420,42 +450,52 @@ def solve(
                 p0 = c0 - _BLOCK  # block i - 2: steps p0..c0-1, still in cur
                 e = _soe_factors(lam, k[p0 - 1 : c0 - 1], t[b0 - 1] - t[p0:c0]).T
                 g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
-                z += e @ cur
+                for j0 in range(0, lam.size, _SUB):  # z += e @ cur, _SUB modes at a time
+                    part = scratch[: min(_SUB, lam.size - j0)]
+                    z[j0 : j0 + _SUB] += np.matmul(e[j0 : j0 + _SUB], cur, out=part)
             rows = cur[: b1 - b0]  # block i's rows, written over block i - 2's
             np.matmul(w[:, : b0 - c0], prev[: b0 - c0], out=rows)  # exact window
-            if c0 > 1:
-                rows += g @ z
-            for r, n in enumerate(range(b0, b1)):  # step n: its near history, then its system
-                kn = float(k[n - 1])
-                a = (1.0 if n == 1 else 2.0) / kn
-                # iterates[1] is free until _picard: first the near sum, then f^{n-1/2}
-                rows[r] += np.matmul(near[r, :r], rows[:r], out=iterates[1])  # rows[r] now holds H_n
-                fh = np.matmul(factors[n - 1], profiles, out=iterates[1])
-                np.multiply(u_prev[1:-1], a, out=rhs)
-                rhs += rows[r, 1:-1]
-                rhs += fh[1:-1]
-                f_norm = norm_l2(fh, h)
-                # V_pred = U^{n-1} + k_n / (2 k_{n-1}) D, U^0 at step 1, in _picard's start row
-                np.multiply(diff, kn / (2.0 * float(k[n - 2])) if n > 1 else 0.0, out=iterates[0])
-                iterates[0] += u_prev
-                _factor(a, near[r, r] * kn / (h * h), system, step=n)
-                v, passes, increment = _picard(system, h, config, step=n)
+            for q0 in range(0, b1 - b0, _SUB):  # sub-block: rows q0..q1-1
+                q1 = min(q0 + _SUB, b1 - b0)
+                sub, part = rows[q0:q1], scratch[: q1 - q0]
+                if c0 > 1:
+                    sub += np.matmul(g[q0:q1], z, out=part)
+                if q0:  # the near terms of the block's finished steps
+                    sub += np.matmul(near[q0:q1, :q0], rows[:q0], out=part)
+                f = np.matmul(factors[b0 + q0 - 1 : b0 + q1 - 1], profiles, out=part)  # f^{n-1/2}
+                f_inner = f[:, 1:-1]
+                f_norms = np.sqrt(h * np.einsum("ij,ij->i", f_inner, f_inner)).tolist()
+                f *= six_h
+                sub += f
+                for r in range(q0, q1):  # step n: its last near terms, then its system
+                    n = b0 + r
+                    kn = float(k[n - 1])
+                    if r > q0:  # rows[r] then holds 6h (H_n + f^{n-1/2})
+                        rows[r] += np.matmul(near[r, q0:r], rows[q0:r], out=scratch[0])
+                    a = (six_h if n == 1 else 2.0 * six_h) / kn
+                    d2_scale = 6.0 * kn / h  # 6h k_n / h^2
+                    np.multiply(u_prev[1:-1], a, out=rhs)
+                    rhs += rows[r, 1:-1]
+                    # V_pred = U^{n-1} + k_n / (2 k_{n-1}) D, U^0 at step 1, in _picard's start row
+                    np.multiply(diff, kn / (2.0 * float(k[n - 2])) if n > 1 else 0.0, out=iterates[0])
+                    iterates[0] += u_prev
+                    _factor(a, near[r, r] * d2_scale, system, step=n)
+                    v, passes, increment = _picard(system, h, config, step=n)
 
-                second_diff_values(v, h, out=rows[r])
-                rows[r] *= kn
-                # U^n into D's spent array, then D = U^n - U^{n-1} into U^{n-1}'s; swap
-                if n == 1:
-                    diff[:] = v
-                else:  # U^n = 2V - U^{n-1}
-                    v *= 2.0
-                    np.subtract(v, u_prev, out=diff)
-                np.subtract(diff, u_prev, out=u_prev)
-                u_prev, diff = diff, u_prev
-                forcing_budget += 2.0 * kn * f_norm
-                margin = _check_stability(u0_norm + forcing_budget, u_prev, h, step=n)
-                reports.append(StepReport(n, passes, increment, margin))
-                if trajectory is not None:
-                    trajectory[n] = u_prev
+                    second_diff_values(v[:-2], v[1:-1], v[2:], d2_scale, out=rows[r, 1:-1])
+                    # U^n into D's spent array, then D = U^n - U^{n-1} into U^{n-1}'s; swap
+                    if n == 1:
+                        diff[:] = v
+                    else:  # U^n = 2V - U^{n-1}
+                        v *= 2.0
+                        np.subtract(v, u_prev, out=diff)
+                    np.subtract(diff, u_prev, out=u_prev)
+                    u_prev, diff = diff, u_prev
+                    forcing_budget += 2.0 * kn * f_norms[r - q0]
+                    margin = _check_stability(u0_norm + forcing_budget, u_prev, h, step=n)
+                    reports.append(StepReport(n, passes, increment, margin))
+                    if trajectory is not None:
+                        trajectory[n] = u_prev
             cur, prev = prev, cur
 
     return SolveResult(

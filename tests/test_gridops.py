@@ -10,6 +10,7 @@ import pytest
 from memburgers.gridops import GridFunction, convection_values, norm_l2, second_diff_values
 from memburgers.mesh import build_spatial_grid
 
+from full_length import convection, second_diff
 from oracles import delta_b, delta_c, delta_f, shift_b, shift_f, staggered_diff
 
 SQRT_3_4 = 0.8660254037844386  # frozen: sqrt(0.75)
@@ -40,14 +41,14 @@ def test_inner_product_and_norm_interior_only():
 def test_second_difference_hand_values():
     h = 0.25  # 1/h^2 = 16
     v = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
-    d2 = second_diff_values(v, h, np.empty_like(v))
+    d2 = second_diff(v, h)
     assert np.allclose(d2, [0.0, 0.0, -32.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_convection_hand_values():
     h = 0.25  # 1/(6h) = 2/3
     v = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
-    nw = convection_values(v, h, np.empty_like(v))
+    nw = convection(v, h)
     assert np.allclose(nw, [0.0, 4.0, 0.0, -4.0, 0.0], atol=1e-12)
 
 
@@ -60,22 +61,35 @@ def test_convection_equals_mean3_times_centered():
         centered = (wv[2:] - wv[:-2]) / (2.0 * g.h)
         expected = np.zeros_like(wv)
         expected[1:-1] = mean3 * centered
-        got = convection_values(wv, g.h, np.empty_like(wv))
+        got = convection(wv, g.h)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_kernels_leave_boundary_entries_exactly_zero():
-    # the time stepper forms each pass's right-hand side in the array
-    # convection_values writes, so its ends must be 0 whatever the input's
-    # and the output array's were
+    # the time stepper forms each pass's right-hand side in the row
+    # convection_values writes, so its ends must stay exactly 0 whatever the
+    # input's were: the kernels write the interior view they are given and
+    # no entry around it, so zero ends stay +0.0 and any other end value
+    # (NaN here) stays as it was
     rng = np.random.default_rng(161)
     for J in (2, 3, 17, 256):
         v = rng.normal(size=J + 1)  # nonzero ends too
-        for kernel in (convection_values, second_diff_values):
-            out = np.full_like(v, np.nan)
-            assert kernel(v, 1.0 / J, out) is out
-            assert out[0] == out[-1] == 0.0
-            assert not np.signbit(out[[0, -1]]).any()
+        views = v[:-2], v[1:-1], v[2:]
+        kernels = {
+            "convection_values": lambda out: convection_values(*views, out, np.empty(J - 1)),
+            "second_diff_values": lambda out: second_diff_values(*views, 1.0 * J * J, out),
+        }
+        for name, kernel in kernels.items():
+            for end in (0.0, np.nan):
+                row = np.full_like(v, end)
+                inner = row[1:-1]
+                assert kernel(inner) is inner, name
+                assert np.isfinite(inner).all(), name
+                if end == 0.0:
+                    assert row[0] == row[-1] == 0.0, name
+                    assert not np.signbit(row[[0, -1]]).any(), name
+                else:
+                    assert np.isnan(row[[0, -1]]).all(), name
 
 
 def test_convection_skew_symmetry():
@@ -84,7 +98,7 @@ def test_convection_skew_symmetry():
     for _ in range(500):
         J = int(rng.integers(4, 129))
         g, wv, _ = _pair(rng, J)
-        nw = convection_values(wv, g.h, np.empty_like(wv))
+        nw = convection(wv, g.h)
         assert abs(_ip(g.h, nw, wv)) <= 1e-12 * (1.0 + norm_l2(nw, g.h) * norm_l2(wv, g.h))
 
 
@@ -102,7 +116,7 @@ def test_summation_by_parts_identities():
 
         # (a) <d2 w, v> = -h sum_j stag(w)_{j-1/2} stag(v)_{j-1/2}
         close(
-            _ip(h, second_diff_values(wv, h, np.empty_like(wv)), vv),
+            _ip(h, second_diff(wv, h), vv),
             -h * float(np.dot(staggered_diff(wv, h), staggered_diff(vv, h))),
         )
         # (b) <dc(wv), v> = 1/2 <T+ v df w + T- v db w, v>
@@ -126,21 +140,21 @@ def test_summation_by_parts_identities():
 
 def _operator_error(J, op, exact_fn):
     g = build_spatial_grid(1.0, J)
-    err = op(np.sin(pi * g.x), g.h, np.empty_like(g.x))[1:-1] - exact_fn(g.x)[1:-1]
+    err = op(np.sin(pi * g.x), g.h)[1:-1] - exact_fn(g.x)[1:-1]
     return float(np.sqrt(g.h * np.dot(err, err)))
 
 
 def test_second_difference_is_second_order():
     exact = lambda x: -pi * pi * np.sin(pi * x)
-    e_coarse = _operator_error(128, second_diff_values, exact)
-    e_fine = _operator_error(256, second_diff_values, exact)
+    e_coarse = _operator_error(128, second_diff, exact)
+    e_fine = _operator_error(256, second_diff, exact)
     assert 1.9 <= np.log2(e_coarse / e_fine) <= 2.1
 
 
 def test_convection_is_second_order():
     exact = lambda x: pi * np.sin(pi * x) * np.cos(pi * x)
-    e_coarse = _operator_error(256, convection_values, exact)
-    e_fine = _operator_error(512, convection_values, exact)
+    e_coarse = _operator_error(256, convection, exact)
+    e_fine = _operator_error(512, convection, exact)
     assert 1.9 <= np.log2(e_coarse / e_fine) <= 2.1
 
 

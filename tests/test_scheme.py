@@ -12,15 +12,18 @@ import pytest
 from scipy.linalg.lapack import dpttrf as scipy_dpttrf
 
 from memburgers import resolve_gamma, scheme
+from memburgers.gridops import norm_l2
 from memburgers.mesh import TemporalMesh, build_graded_mesh, build_spatial_grid
 from memburgers.problems import (
     ManufacturedProblem,
     SeparableForcing,
     example1,
     example2,
+    f_half,
 )
 from memburgers.quadrature import _BLOCK, compute_weights
 from memburgers.scheme import (
+    _SUB,
     NonconvergenceError,
     SchemeConfig,
     StabilityViolationError,
@@ -45,7 +48,7 @@ def test_tridiagonal_matches_dense_solve(m, monkeypatch):
     # with the convection switched off every pass solves the step's linear
     # system alone: diagonal a + 2c, off-diagonal -c, m interior nodes
     # (m = 1 has an empty off-diagonal)
-    def no_convection(v, h, out):
+    def no_convection(left, mid, right, out, tmp):
         out[:] = 0.0
         return out
 
@@ -80,6 +83,33 @@ def test_picard_leaves_its_inputs_unchanged():
     assert system.rhs.tobytes() == rhs.tobytes()
     assert np.shares_memory(out, system.iterates)
     assert all(f.tobytes() == g.tobytes() for f, g in zip((system.d, system.e), factor_in))
+
+
+def test_picard_passes_allocate_no_row_and_write_no_end(monkeypatch):
+    # every pass reads and writes through the views _Tridiagonal built: at
+    # J = 8192 the passes of a step allocate no array of J - 1 values or
+    # more, and leave the iterate rows' ends exactly +0.0
+    allocated, picard = [], scheme._picard
+
+    def measured(system, h, config, step):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = picard(system, h, config, step)
+        allocated.append(tracemalloc.get_traced_memory()[1] - before)
+        ends = system.iterates[:, [0, -1]]
+        assert not np.any(ends) and not np.any(np.signbit(ends))
+        return result
+
+    monkeypatch.setattr(scheme, "_picard", measured)
+    J = 8192
+    tracemalloc.start()
+    try:
+        result = solve(example1(0.5), build_graded_mesh(1.0, 4, 1.5), build_spatial_grid(1.0, J),
+                       0.5, SchemeConfig())
+    finally:
+        tracemalloc.stop()
+    assert len(allocated) == 4 and sum(r.iterations for r in result.reports) > 4
+    assert max(allocated) < (J - 1) * 8
 
 
 def test_tridiagonal_indefinite_matrix_raises(monkeypatch):
@@ -303,6 +333,17 @@ def test_zero_data_stays_exactly_zero():
     assert all(r.iterations == 2 for r in result.reports)
 
 
+@pytest.mark.parametrize("eps", [1e-170, 5e-324])
+def test_zero_increment_meets_every_eps(eps):
+    # a pass is accepted exactly when its increment norm is below eps, for
+    # every eps SchemeConfig takes: the zero problem's increments are 0, so
+    # each step is accepted at its second pass even where eps^2 underflows
+    assert eps * eps == 0.0
+    result = solve(_zero_problem(), build_graded_mesh(1.0, 6, 1.5), build_spatial_grid(1.0, 8),
+                   0.5, SchemeConfig(eps=eps))
+    assert [(r.iterations, r.final_increment) for r in result.reports] == [(2, 0.0)] * 6
+
+
 def test_first_step_matches_dense_oracle():
     alpha = 0.5
     problem = example1(alpha)
@@ -328,16 +369,18 @@ def test_full_solve_matches_dense_oracle():
 
 
 @pytest.mark.parametrize("n_steps", [
-    1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 4 * _BLOCK + 1,
-    9 * _BLOCK + 1, 10 * _BLOCK + 1,
+    1, 2, _SUB - 1, _SUB, _SUB + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + _SUB + 1,
+    2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + _SUB + 1, 4 * _BLOCK + 1, 9 * _BLOCK + 1,
+    10 * _BLOCK + 1,
 ])
 def test_block_boundaries_match_dense_oracle(n_steps):
     # the history is summed a block of _BLOCK steps at a time (the block
     # before by one GEMM, older blocks through the SOE tail from the third
-    # block on), then per step; steps on either side of each block boundary,
-    # the first tail block, and solves whose two history buffers have
-    # swapped many times must agree with the oracle, which sums it term by
-    # term
+    # block on), then a sub-block of _SUB steps at a time (the block's
+    # finished steps by one GEMM), then per step; steps on either side of
+    # each block and sub-block boundary, the first tail block, and solves
+    # whose two history buffers have swapped many times must agree with the
+    # oracle, which sums it term by term
     alpha = 0.4
     problem = example1(alpha)
     mesh = build_graded_mesh(1.0, n_steps, 2.0 / (alpha + 1.0))
@@ -368,11 +411,11 @@ def test_solve_never_builds_the_full_weight_table():
 
 def test_history_holds_two_blocks(monkeypatch):
     # three blocks at J = 8192, where one (_BLOCK, J+1) slot of rows is
-    # 4.2 MB: at its peak the solve holds the two history buffers, the SOE
-    # state z and one product of z's size (the block that leaves the window,
-    # e @ cur, before it is added to z), plus O(J) rows; those rows fit in
-    # a margin of 48 rows of J+1, less than a slot, so a solve that kept a
-    # third slot of rows alive would not
+    # 4.2 MB: at its peak the solve holds the two history buffers and the
+    # SOE state z, plus O(J) rows (the (_SUB, J+1) scratch that every block
+    # product goes through among them); those rows fit in a margin of 48
+    # rows of J+1, less than a slot, so a solve that kept a third slot of
+    # rows alive would not, nor one that held a product of z's size
     modes, soe_modes = [], scheme._soe_modes
 
     def counted(*args):
@@ -392,7 +435,34 @@ def test_history_holds_two_blocks(monkeypatch):
         tracemalloc.stop()
     row = (n_nodes + 1) * 8
     (n_modes,) = modes
-    assert peak < (2 * _BLOCK + 2 * n_modes + 48) * row
+    assert peak < (2 * _BLOCK + n_modes + 48) * row
+
+
+@pytest.mark.parametrize("n_steps", [_SUB - 1, _SUB + 1, 2 * _BLOCK + _SUB + 1])
+def test_forcing_norms_are_each_steps_source_norm(n_steps, monkeypatch):
+    # the energy budget adds 2 k_n ||f^{n-1/2}|| per step, with the norms
+    # of a whole sub-block's sources taken at once; with U^0 = 0 the bound
+    # each step checks is that budget alone, and it must be the budget of
+    # norm_l2(factors[n-1] @ profiles), step by step, within 1e-14
+    bounds, check = [], scheme._check_stability
+
+    def recorded(bound, u_new, h, step):
+        bounds.append(bound)
+        return check(bound, u_new, h, step)
+
+    monkeypatch.setattr(scheme, "_check_stability", recorded)
+    problem = example2(0.75)
+    mesh = build_graded_mesh(1.0, n_steps, 1.5)
+    grid = build_spatial_grid(1.0, 64)
+    config = SchemeConfig(f_mode="interval_average")
+    assert not np.any(problem.exact(grid.x, 0.0))
+    solve(problem, mesh, grid, problem.alpha, config)
+    factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
+    budget = 0.0
+    for n, bound in enumerate(bounds, start=1):
+        budget += 2.0 * float(mesh.k[n - 1]) * norm_l2(factors[n - 1] @ profiles, grid.h)
+        assert abs(bound - budget) <= 1e-14 * budget, n
+    assert len(bounds) == n_steps
 
 
 @pytest.mark.parametrize("n_steps", [2 * _BLOCK + 1, 3 * _BLOCK + 1, 5 * _BLOCK + 1])
@@ -500,7 +570,7 @@ def test_nonconvergence_reports_failing_step():
 def test_non_finite_increment_stops_at_once(monkeypatch):
     # a NaN convection value poisons the first pass; the loop must not spend
     # the rest of its budget on NaN before reporting
-    def nan_convection(v, h, out):
+    def nan_convection(left, mid, right, out, tmp):
         out[:] = np.nan
         return out
 
