@@ -18,12 +18,14 @@ does not take is refused; each subcommand takes only the flags it reads.
 `--help` shows the required flags without brackets in its usage line.
 Exit status is 0 on success and nonzero with a diagnostic on failure
 (nonconvergence, invalid parameters, unwritable output path, a numeric
-overflow, a problem too large for memory).
+overflow, a problem too large for memory); a reader that closes stdout
+early (`| head`) ends the output with exit 0 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -242,7 +244,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.config is not None:
             raise ValueError("a config file cannot name another config file")
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left (`| head`): stop, quietly; exit flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (NonconvergenceError, StabilityViolationError) as exc:
         print(f"memburgers: solver failed: {exc}", file=sys.stderr)
         return 1

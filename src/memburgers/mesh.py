@@ -183,7 +183,7 @@ def check_mesh_hypotheses(mesh: TemporalMesh) -> MeshHypothesesReport:
     # (H1): k_n <= C * kb * min(1, t_n^(1 - 1/gamma)), n = 1..N
     cap1 = np.minimum(1.0, t[1:] ** (1.0 - 1.0 / gamma))
     step_bound = k / (kb * cap1)
-    step_bound_ok = bool(np.all(np.isfinite(step_bound)) and np.all(k > 0.0))
+    step_bound_ok = bool(np.all(np.isfinite(step_bound)))
     step_bound_const = float(np.max(step_bound))
 
     # (H2): t_1 >= c * kb^gamma and t_n <= C * t_{n-1} for n >= 2; with

@@ -136,7 +136,11 @@ def _manufactured(name: str, alpha: float, modes: Callable, sigma: Callable) -> 
     ]
 
     def exact(x, t):
-        return sum(c * float(t) ** p * np.sin(k * _PI * x) for c, p, k in modes)
+        try:
+            return sum(c * float(t) ** p * np.sin(k * _PI * x) for c, p, k in modes)
+        except OverflowError:  # Python's message is an errno tuple; u(x, 0) is finite, so p >= 0
+            raise OverflowError(f"{name}: exact(x, t) takes t**{max(p for _, p, _ in modes):g}, "
+                                f"which overflows a float at t = {float(t):g}") from None
 
     return ManufacturedProblem(name, alpha, exact, SeparableForcing(tuple(terms)), sigma(alpha))
 

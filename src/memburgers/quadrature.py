@@ -38,12 +38,16 @@ builds the rows n0 <= n < n1 of the table from the rows n0-1..n1-1 of P:
 one power per entry, where evaluating each weight on its own takes four.
 `solve` asks for one block of _BLOCK rows at a time, and only for the
 columns of the block before it (its exact window, see scheme) and its
-own; the full (N+1, N+1) table stacks the same blocks.  The closed form
-subtracts nearly equal powers when k_s << t_n, so on strongly graded
-meshes rounding can leave a weight nonpositive; `compute_weights` then
-raises ValueError rather than return the rows, as it does for a
-non-finite weight (levels so large that their powers overflow) and for
-steps so small that their powers underflow (are subnormal or 0).
+own; the full (N+1, N+1) table stacks the same blocks.  Every power is
+of a time difference, so on levels t = T tau, w_ns(t) = T**(alpha-1)
+w_ns(tau): the powers are taken on [0, 1], of the levels and steps
+divided by T, and T**(alpha-1) goes into the divisor (at T = 1 both are
+exact no-ops), so no T overflows a power.  The closed form subtracts
+nearly equal powers when k_s << t_n, so on strongly graded meshes
+rounding can leave a weight nonpositive; `compute_weights` then raises
+ValueError rather than return the rows, as it does for a non-finite
+weight (beyond the float range) and for steps so small against T that
+their powers underflow (are subnormal or 0).
 
 Pairs (n, s) older than the window go through a sum of exponentials
 (SOE) instead (the fast convolution of Jiang, Zhang, Zhang & Zhang,
@@ -123,37 +127,35 @@ def compute_weights(
 
 
 def _weight_rows(mesh: TemporalMesh, alpha: float, n0: int, n1: int, c0: int) -> np.ndarray:
-    """w[n0:n1, c0:n1], c0 >= 1, as the mixed second difference of P (module docstring).
+    """w[n0:n1, c0:n1], c0 >= 1, from the table P on [0, 1] (module docstring).
 
     Works in place: at most P and one array of its size are alive at once.
     Raises ValueError if the powers of the columns' steps underflow, and at
     the first row holding a weight, among the columns returned, that is not
     positive and finite.
     """
-    t, k = mesh.t, mesh.k
-    g2 = math.gamma(alpha + 2.0)
-    # huge levels overflow the powers; the row check below names the result
+    t = mesh.t[c0 - 1 : n1] / mesh.T  # levels c0-1..n1-1, the rows' from t[n0 - c0]
+    k = mesh.k[c0 - 1 : n1 - 1] / mesh.T  # the columns' steps, the rows' kn from k[n0 - c0]
+    kn = k[n0 - c0 :]
+    g2 = math.gamma(alpha + 2.0) * mesh.T ** (1.0 - alpha)  # T**(1-alpha) lies between T and 1
+    # a weight beyond the float range overflows; the row check below names it
     with np.errstate(over="ignore", invalid="ignore"):
-        smallest = np.min(k[c0 - 1 : n1 - 1]) ** (alpha + 1.0)
+        smallest = np.min(k) ** (alpha + 1.0)
         if smallest < np.finfo(float).tiny:
-            raise ValueError(
-                f"compute_weights: the powers of the mesh steps underflow in rows "
-                f"{n0}..{n1 - 1} (smallest {smallest:.3e}), so the weights would be wrong"
-            )
+            raise ValueError(f"compute_weights: the powers of the mesh steps underflow in rows "
+                             f"{n0}..{n1 - 1} (smallest {smallest:.3e}), so the weights would be wrong")
         # p[i, j] = P[n0 - 1 + i, c0 - 1 + j]; weight column s needs P's columns s-1 and s
-        p = np.subtract.outer(t[n0 - 1 : n1], t[c0 - 1 : n1])
+        p = np.subtract.outer(t[n0 - c0 :], t)
         np.maximum(p, 0.0, out=p)
         np.power(p, alpha + 1.0, out=p)
         q = p[:, :-1] - p[:, 1:]  # q[i, j] = P[., s-1] - P[., s], s = c0 + j
         w = p[:-1, 1:]  # P's own rows are no longer needed; column j: s = c0 + j
         np.subtract(q[1:], q[:-1], out=w)
         del q
-        w /= k[c0 - 1 : n1 - 1]
-        w /= (k[n0 - 1 : n1 - 1] * g2)[:, None]
-        diagonal = k[n0 - 1 : n1 - 1] ** (alpha - 1.0) / g2
-    near = w[:, n0 - c0 :]  # columns n0..n1-1: square, with the diagonal on its own
-    near[np.triu_indices(n1 - n0, 1)] = 0.0
-    np.fill_diagonal(near, diagonal)
+        w /= k
+        w /= (kn * g2)[:, None]
+        diagonal = kn ** (alpha - 1.0) / g2
+    np.fill_diagonal(w[:, n0 - c0 :], diagonal)  # columns n0..n1-1: square
 
     ok = w > 0.0
     ok &= w < math.inf
@@ -163,14 +165,9 @@ def _weight_rows(mesh: TemporalMesh, alpha: float, n0: int, n1: int, c0: int) ->
         n = n0 + int(bad[0])
         row = w[n - n0, : n - c0 + 1]
         if not np.all(np.isfinite(row)):
-            raise ValueError(
-                f"compute_weights: non-finite weight in row {n}; the powers of the "
-                f"mesh levels overflow"
-            )
-        raise ValueError(
-            f"compute_weights: nonpositive weight in row {n} (smallest "
-            f"{row.min():.3e}); the closed form cancels on this mesh"
-        )
+            raise ValueError(f"compute_weights: non-finite weight in row {n}; beyond the float range")
+        raise ValueError(f"compute_weights: nonpositive weight in row {n} (smallest "
+                         f"{row.min():.3e}); the closed form cancels on this mesh")
     return w
 
 

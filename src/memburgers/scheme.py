@@ -36,30 +36,32 @@ at a time (the lag-sum splitting of Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985), in O(N (_BLOCK + modes) J) flops and
 O((2 _BLOCK + modes) J) memory.  Alive are one block of weights
 (_BLOCK x 2 _BLOCK), the rows 6h k_s d_s of two blocks, in two buffers
-of (_BLOCK, J+1): cur, block i's, and prev, block i-1's (one buffer,
-both names, when N <= _BLOCK), and one scratch of (_SUB, J+1) that every
-matrix product of the history and of the sources is written into before
-it is added where it belongs, so that no product of a block's or of z's
-size is ever allocated.  The weights enter the rows exactly as quadrature
-returns them; the rows of steps not yet taken hold their partial history
-(and, from their sub-block's start, their source) until the step
-finishes and overwrites its row with its own 6h k_n d_n.
+of (_BLOCK, J+1): cur, block i's, and prev, block i-1's, and one scratch
+of (_SUB, J+1) that every matrix product of the history and of the
+sources is written into before it is added where it belongs, so that no
+product of a block's or of z's size is ever allocated.  The weights
+enter the rows exactly as quadrature returns them (it takes their powers
+on [0, 1] and scales by T**(alpha-1), so no final time overflows them);
+the rows of steps not yet taken hold their partial history (and, from
+their sub-block's start, their source) until the step finishes and
+overwrites its row with its own 6h k_n d_n.
 
   - Block phase, at the top of solve's outer loop: when block i, the
-    steps [b0, b1), starts, cur still holds block i-2, and the far part of
-    the history of all block i's steps, s < b0, is written over it.  Its
-    tail, s < c0 = b0 - _BLOCK, goes through the sum-of-exponentials (SOE)
+    steps [b0, b1), starts, its rows of the weight table are built, for
+    the columns c0..b1-1 only (see quadrature), as for every block, block
+    0 too.  cur still holds block i-2, and the far part of the history of
+    all block i's steps, s < b0, is written over it.  Its tail,
+    s < c0 = b0 - _BLOCK, goes through the sum-of-exponentials (SOE)
     modes of the kernel (see quadrature): a state z, one row per mode,
     holds the tail at t_{b0-1}.  First z decays from the last block's
     t_{b0-1} and takes block i-2, which just left the window (one matrix
     product, _SUB modes at a time through the scratch).  Then block i's
-    exact window, block i-1 in prev (c0 <= s < b0; empty for block 0), is
-    one matrix product with the block's rows of the weight table, built
-    for the columns c0..b1-1 only (see quadrature), written into cur.  The
-    buffers swap names when the block's steps are done.  The modes are
-    built once per solve, for the lags from the smallest t_{b0-1} - t_{c0-1}
-    of the tail blocks up to T.  With N <= 2 _BLOCK there is no tail and no
-    modes.
+    exact window, block i-1 in prev (c0 <= s < b0; empty for block 0,
+    which reads none of prev's rows), is one matrix product with the
+    block's weights, written into cur.  The buffers swap names when the
+    block's steps are done.  The modes are built once per solve, for the
+    lags from the smallest t_{b0-1} - t_{c0-1} of the tail blocks up to
+    T.  With N <= 2 _BLOCK there is no tail and no modes.
   - Sub-block phase: the block's steps run _SUB at a time.  When a
     sub-block starts, the scratch takes three products in turn, each
     added into the sub-block's rows: the tail, its rows of the SOE
@@ -87,35 +89,27 @@ increment of a pass >= 2 and every step takes at least two passes.  From
 V_pred the first increment is often already below eps, and accepting it
 would leave about theta eps of iteration error per step (theta the
 contraction factor) in the results.  _factor checks the dominance and
-factors the step's matrix once (LAPACK dpttrf, L D L^T).  The matrix has
-constant coefficients, so its pivots settle to one value after a number
-of rows that depends only on a/c; dpttrf factors only the rows up to
-there and the rest of the factor is filled in, bit for bit what the full
-factorization gives (see _factor).  The rows factored start where the
-last step's factor ended and double until the pivots have settled.
-_picard makes each pass one back substitution through tridiagonal_solve
-(dpttrs), kept as its own function so that a traced run can time the
-per-pass solve.
+factors the step's matrix once (LAPACK dpttrf, L D L^T), only up to the
+row where its pivots settle, the rest filled in bit for bit (see
+_factor).  _picard makes each pass one back substitution through
+tridiagonal_solve (dpttrs), kept as its own function so that a traced
+run can time the per-pass solve.
 
 dpttrf and dpttrs are the LAPACK routines of the OpenBLAS that numpy
 itself loads: the ILP64 symbols scipy_dpttrf_64_ and scipy_dpttrs_64_,
 found through numpy's linalg extension and called with ctypes (numpy >= 2
 wheels export them; without them the import fails with one ImportError).
-They take raw addresses, so every array they write through is allocated
-in _Tridiagonal, once per solve, which builds every argument then; a call
-passes those prebuilt arguments and reads one int64 info cell.
+They take raw addresses, so _Tridiagonal allocates every array they
+write through and builds every argument, once per solve.
 
 The step loop allocates no full-length array.  solve keeps one
 workspace: the scratch, _Tridiagonal's two iterate rows, the factor, one
 row for the step's right-hand side 6h a U^{n-1} + (the step's row), and
 one temporary, and, beside U^{n-1}, one row D = U^{n-1} - U^{n-2} (zero
 before step 1).  V_pred is written from them straight into the first
-iterate row.  _Tridiagonal also builds, for either iterate row, the views
-a pass reads and writes, so that a pass is a fixed sequence of calls that
-slices nothing, allocates nothing and writes no end value (the ends stay
-zero): 6h N(V) into the interior of the other row (convection_values),
-the right-hand side minus that, the solve there, and the increment in
-place in V's row, which the next pass solves in.  After the passes
+iterate row.  _Tridiagonal also prebuilds, for either iterate row, the
+views a pass reads and writes, so that a pass slices nothing, allocates
+nothing and writes no end value (see _picard).  After the passes
 6h k_n d2(V) goes straight into the step's row of cur
 (second_diff_values), U^n = 2V - U^{n-1} (U^1 = V) is written over the
 spent D, D = U^n - U^{n-1} over U^{n-1}, and the two arrays swap names.
@@ -417,9 +411,7 @@ def solve(
     # row r of cur: 6h k_s d2(V_s), s = b0 + r in block i, or its history until step s;
     # prev: block i - 1's rows
     cur = np.zeros((min(_BLOCK, mesh.N), grid.J + 1))
-    prev = np.zeros_like(cur) if len(starts) > 1 else cur
-    # the first block's weights before the forcing: bad weights fail first
-    w = compute_weights(mesh, alpha, (1, min(1 + _BLOCK, mesh.N + 1)), first_col=1)
+    prev = np.zeros(cur.shape)  # not zeros_like, which writes: block 0 touches no page of it
     tail = np.asarray(starts[2:])  # blocks with steps s < c0 = b0 - _BLOCK
     if tail.size:
         # the smallest lag t_{n-1} - t_s of a tail pair, s < c0 <= b0 <= n
@@ -439,11 +431,10 @@ def solve(
     # a diverging iterate overflows quietly here: its increment is not
     # finite, which _picard reports as NonconvergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, b0 in enumerate(starts):  # block i: the far history of all its steps
+        for b0 in starts:  # block i: the far history of all its steps
             b1 = min(b0 + _BLOCK, mesh.N + 1)
             c0 = max(b0 - _BLOCK, 1)  # the window is block i - 1, whole; block 0 has none
-            if i:
-                w = compute_weights(mesh, alpha, (b0, b1), first_col=c0)
+            w = compute_weights(mesh, alpha, (b0, b1), first_col=c0)
             near = w[:, b0 - c0 :]  # columns b0..b1-1
             if c0 > 1:  # tail: decay z to t_{b0-1}, add block i - 2 (just left the window)
                 z *= np.exp(-lam * (t[b0 - 1] - t[c0 - 1]))[:, None]

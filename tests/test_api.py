@@ -3,6 +3,7 @@ and what the benchmark in bench/run.py relies on; no module imports a name
 it does not use, and none imports scipy."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -95,6 +96,26 @@ def test_bench_scheme_callees_are_called(monkeypatch):
     grid = memburgers.build_spatial_grid(1.0, 8)
     scheme.solve(memburgers.example1(0.5), mesh, grid, 0.5, scheme.SchemeConfig())
     assert all(calls.values()), f"callees never called: {[a for a, n in calls.items() if not n]}"
+
+
+def test_bitwise_check_covers_the_bench_workloads():
+    # tools/bitwise.py states the benchmark's workloads again, so that it
+    # runs them on trees older than bench/run.py's; the two must not drift
+    spec = importlib.util.spec_from_file_location("bitwise", ROOT / "tools" / "bitwise.py")
+    bitwise = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bitwise)
+    cases = dict(bitwise.cases())
+    workloads = [node for node in ast.walk(_bench_module())
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Workload"]
+    assert len(workloads) == 3
+    for node in workloads:
+        name, problem, alpha, gamma, f_mode = map(ast.literal_eval, node.args)
+        kw = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
+        levels = kw.get("levels", 0) if kw.get("study") else 0
+        assert cases[f"{name} rows" if levels else name] == dict(
+            problem=problem, alpha=alpha, gamma=gamma, f_mode=f_mode,
+            N=kw["n"], J=kw["j"], levels=levels,
+        ), name
 
 
 def test_package_modules_use_every_import():

@@ -297,7 +297,8 @@ def test_non_finite_length_or_final_time_exits_2(capsys, flag):
 
 
 def test_overflowing_final_time_exits_2(capsys):
-    # exact(x, T) takes T**(alpha+1), which overflows a float at T = 1e300
+    # exact(x, T) takes T**(alpha+1), which overflows a float at T = 1e300;
+    # the line names the problem, the power and T, not Python's errno tuple
     code = main(
         ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1.5",
          "--N", "8", "--J", "16", "--T", "1e300"]
@@ -306,7 +307,8 @@ def test_overflowing_final_time_exits_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        "memburgers: numeric overflow: (34, 'Numerical result out of range')\n"
+        "memburgers: numeric overflow: example1: exact(x, t) takes t**1.5, which overflows "
+        "a float at t = 1e+300\n"
     )
 
 
@@ -456,6 +458,24 @@ def _package_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+def test_closed_pipe_ends_the_output_quietly():
+    # `memburgers weights-dump ... | head -1`: the table (20,100 rows) fills
+    # the pipe long before the reader closes it; the writer must stop with
+    # exit 0 and nothing on stderr, not even at interpreter exit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "memburgers.cli", "weights-dump", "--alpha", "0.5",
+         "--gamma", "1", "--N", "200"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_package_env(),
+    )
+    assert proc.stdout.readline().rstrip() == b"n,s,weight"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0, err
+    assert err == b""
+
+
 def test_nonpositive_weights_exit_2_under_optimize():
     # the weight check must not be an assert: under -O it would vanish and
     # the solve would print an error from nonpositive weights (w[65, 1]
@@ -515,11 +535,24 @@ def test_truncated_factor_is_the_same_under_optimize():
 
 
 def test_overflowing_weights_exit_2_with_one_line():
-    # the weight kernel's powers overflow at T = 1e300; the solve must say
-    # so in one line, with no numpy warning before it
+    # the weight kernel takes its powers on [0, 1], so no T overflows them;
+    # a power poisoned to inf (P[2, 0]) must still be refused in one line,
+    # with no numpy warning before it
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from memburgers import cli
+        power = np.power
+        def poisoned(x, y, out):
+            power(x, y, out=out)
+            out[2, 0] = np.inf
+            return out
+        np.power = poisoned
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
     proc = subprocess.run(
-        [sys.executable, "-m", "memburgers.cli", "solve", "--example", "2",
-         "--alpha", "0.5", "--gamma", "1.5", "--N", "8", "--J", "16", "--T", "1e300",
+        [sys.executable, "-W", "error", "-c", script, "solve", "--example", "2",
+         "--alpha", "0.5", "--gamma", "1.5", "--N", "8", "--J", "16",
          "--f-mode", "interval-average"],
         capture_output=True,
         text=True,
@@ -533,10 +566,10 @@ def test_overflowing_weights_exit_2_with_one_line():
 
 
 def test_underflowing_weights_exit_2_with_one_line(capsys):
-    # at T = 1e-300 the steps' powers k**1.5 underflow to 0: the refusal
-    # names the underflow, not a cancellation
-    code = main(["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1",
-                 "--N", "300", "--J", "8", "--T", "1e-300"])
+    # gamma 110 puts t_1 at 1e-220, so the step's power k_1**1.5 underflows
+    # to 0 even on [0, 1]: the refusal names the underflow, not a cancellation
+    code = main(["solve", "--example", "1", "--alpha", "0.5", "--gamma", "110",
+                 "--N", "100", "--J", "8"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -545,10 +578,35 @@ def test_underflowing_weights_exit_2_with_one_line(capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--example", "1", "--alpha", "0.5", "--gamma", "1", "--N", "300", "--J", "8"],
+    ["solve", "--example", "2", "--alpha", "0.75", "--gamma", "1", "--N", "300", "--J", "8",
+     "--f-mode", "interval-average"],
+    ["weights-dump", "--alpha", "0.5", "--gamma", "1", "--N", "4"],
+], ids=["example1", "example2", "weights-dump"])
+def test_tiny_final_time_solves(argv, capsys):
+    # the weights' powers are taken on [0, 1], so T = 1e-300 underflows none
+    # of them; pytest turns a RuntimeWarning into an error
+    code = main([*argv, "--T", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    if argv[0] == "solve":
+        error = float(re.search(r"error_l2=(\S+)", captured.out).group(1))
+        assert error <= 1e-15
+
+
 @pytest.mark.parametrize("flags, code, message", [
     # the source factors overflow at T = 1e100, while the weights stay finite
     (["--T", "1e100", "--f-mode", "interval-average"], 2,
      "memburgers: f_half: non-finite source factor at step 1 for the t**3 term;"),
+    # at T = 1e300 the exact solution overflows first (example 1) or, where
+    # it stays finite, the source factors (example 2); no weight does
+    (["--T", "1e300"], 2,
+     "memburgers: numeric overflow: example1: exact(x, t) takes t**1.5, which overflows "
+     "a float at t = 1e+300"),
+    (["--example", "2", "--T", "1e300", "--f-mode", "interval-average"], 2,
+     "memburgers: f_half: non-finite source factor at step 1 for the t**1 term;"),
     # the iterate of the first step diverges at T = 1e5
     (["--T", "1e5"], 1,
      "memburgers: solver failed: fixed-point iteration did not converge at step 1: "
@@ -563,7 +621,7 @@ def test_underflowing_weights_exit_2_with_one_line(capsys):
     (["--gamma", "400"], 2,
      "memburgers: build_graded_mesh: gamma = 400.0 is too large for N = 8 and T = 1.0: "
      "the levels (n*k_base)**gamma underflow to 0 for n <= 1"),
-], ids=["overflowing-sources", "diverging-step", "infinite-gamma", "huge-gamma", "underflowing-gamma"])
+], ids=["overflowing-sources", "overflowing-exact", "huge-final-time-example2", "diverging-step", "infinite-gamma", "huge-gamma", "underflowing-gamma"])
 def test_refused_solve_prints_one_line(flags, code, message):
     # each failure is named in one stderr line, with no numpy warning before it
     proc = subprocess.run(

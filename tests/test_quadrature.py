@@ -1,6 +1,7 @@
 """Product-integration weight tests: closed form vs quadrature oracle, and
 the structural properties the stability theory rests on."""
 
+import math
 from math import gamma, pi, sin
 
 import mpmath
@@ -216,23 +217,50 @@ def test_nonpositive_weights_raise_value_error():
         compute_weights(mesh, 0.25, (129, 257))
 
 
-def test_overflowing_powers_named_without_warnings():
-    # t**(alpha+1) overflows at t ~ 1e300; pytest turns a RuntimeWarning
-    # into an error, so this also checks that none escapes the kernel
-    mesh = build_graded_mesh(1e300, 8, 1.5)
+def test_overflowing_powers_named_without_warnings(monkeypatch):
+    # the powers lie in [0, 1], so no mesh overflows them: poison P[2, 0]
+    # (level t_2, column t_0) instead.  pytest turns a RuntimeWarning into an
+    # error, so this also checks that none escapes the kernel
+    mesh = build_graded_mesh(1.0, 8, 1.5)
+    power = np.power
+
+    def poisoned(x, y, out):
+        power(x, y, out=out)
+        out[2, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(np, "power", poisoned)
     with pytest.raises(ValueError, match="non-finite weight in row 2;"):
         compute_weights(mesh, 0.5)
 
 
-@pytest.mark.parametrize("T", [1e-210, 1e-300])
-def test_underflowing_powers_raise_value_error(T):
-    # k = T/300, so k**1.5 is subnormal at T = 1e-210 (weights off by 4e-4
-    # relative) and 0 at T = 1e-300; both the table and a solve block refuse
-    mesh = build_graded_mesh(T, 300, 1.0)
+@pytest.mark.parametrize("t1", [1e-210, 1e-300])
+def test_underflowing_powers_raise_value_error(t1):
+    # a steep grading at T = 1 puts the first level, and step, at t1, so
+    # k_1**1.5 is subnormal at t1 = 1e-210 and 0 at 1e-300; both the table
+    # and a solve block refuse
+    mesh = build_graded_mesh(1.0, 100, math.log10(t1) / -2.0)
+    assert mesh.t[1] == pytest.approx(t1, rel=1e-12)
     with pytest.raises(ValueError, match="powers of the mesh steps underflow in rows 1..64 "):
         compute_weights(mesh, 0.5)
     with pytest.raises(ValueError, match="powers of the mesh steps underflow in rows 1..64 "):
         compute_weights(mesh, 0.5, (1, _BLOCK + 1))
+
+
+@pytest.mark.parametrize("T", [2.0**-1000, 2.0**1000], ids=["2**-1000", "2**1000"])
+@pytest.mark.parametrize("alpha", [0.25, 0.3, 0.5, 0.75])
+def test_weights_scale_with_the_final_time(T, alpha):
+    # the levels T*s are exact, so w(T s) = T**(alpha-1) w(s) up to the
+    # rounding of the one factor; the whole table and the blocks a solve
+    # builds (window columns included) hold it, though the powers of T*s
+    # themselves overflow (T = 2**1000) or underflow (T = 2**-1000)
+    unit = build_graded_mesh(1.0, 150, 2.0)
+    mesh = TemporalMesh(T * unit.t, unit.gamma)
+    cases = ((None, 1), ((65, 129), 1), ((129, 151), 65))
+    for rows, first_col in cases:
+        w = compute_weights(mesh, alpha, rows, first_col)
+        ref = T ** (alpha - 1.0) * compute_weights(unit, alpha, rows, first_col)
+        assert np.all(np.abs(w - ref) <= 1e-15 * np.abs(ref)), (rows, first_col)
 
 
 def test_tiny_but_normal_powers_keep_their_accuracy():
