@@ -144,8 +144,9 @@ class MeshHypothesesReport:
 def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
     """Build the graded mesh t_n = (n * k_base)**gamma on [0, T].
 
-    Requires a finite T > 0, an integer N >= 1 and a finite gamma >= 1 small
-    enough that t_1 = k_base**gamma does not underflow to 0.  Levels are
+    Requires a finite T > 0 with k_base = T**(1/gamma)/N > 0 (not underflowed),
+    an integer N >= 1 and a finite gamma >= 1 small enough that t_1 =
+    k_base**gamma does not underflow to 0.  Levels are
     computed by direct exponentiation (not step accumulation) and the
     endpoints are pinned to 0 and T exactly.
     """
@@ -159,7 +160,11 @@ def build_graded_mesh(T: float, N: int, gamma: float) -> TemporalMesh:
     if not 1.0 <= gamma < math.inf:
         raise ValueError(f"build_graded_mesh: gamma must be finite and >= 1, got {gamma}")
 
-    t = (np.arange(N + 1, dtype=float) * (T ** (1.0 / gamma) / N)) ** gamma  # level 0: 0.0**gamma = 0
+    k_base = T ** (1.0 / gamma) / N
+    if k_base == 0.0:
+        raise ValueError(f"build_graded_mesh: T = {T} is too small for N = {N}: "
+                         f"the base step T**(1/gamma)/N underflows to 0")
+    t = (np.arange(N + 1, dtype=float) * k_base) ** gamma  # level 0: 0.0**gamma = 0
     t[N] = T  # exact endpoint; the power form matches it to roundoff anyway
     if not t[1] > 0.0:
         lost = int(np.count_nonzero(t[1:N] == 0.0))

@@ -57,9 +57,19 @@ Commun. Comput. Phys. 21, 2017).  The kernel is the Laplace integral
 
 and `_soe_modes` discretizes it for tau in [delta, T]: Gauss-Jacobi with
 weight s**(-alpha) on [0, 1/T], then Gauss-Legendre on dyadic panels up
-to 45/delta, so beta(tau) = sum_j omega_j exp(-lam_j tau) to about 1e-12
-relative.  Putting the modes into the double integral that defines w_ns
-(its smallest lag is t_{n-1} - t_s >= delta) gives
+to 45/delta, 10 nodes each, so beta(tau) = sum_j omega_j exp(-lam_j tau)
+to about 1e-15 relative.  Those are many more modes than the fit needs
+(160 on the benchmark's long_history mesh).  `_soe_gauss` keeps fewer:
+the r-point Gauss rule of the positive discrete measure
+sum_j omega_j delta(x - log lam_j) (Golub & Meurant, Matrices, Moments and
+Quadrature with Applications, 2010), from a Lanczos run on diag(log lam),
+with the smallest r whose fit is 1e-14 (62 modes there, and 35 and 38 on
+the singular_study levels N = 256 and 512, where an 8-node base had 128,
+72 and 80).  A Gauss rule of a positive measure has positive weights and
+its nodes inside the measure's range, so the tail kernel stays a positive
+sum of decaying exponentials.  It costs 1-3 ms per solve.  Putting the
+modes into the double integral that defines w_ns (its smallest lag is
+t_{n-1} - t_s >= delta) gives
 
     w_ns = sum_j omega_j F_j(k_n, 0) F_j(k_s, t_{n-1} - t_s),
     F_j(k, lag) = -expm1(-lam_j k) / (lam_j k) * exp(-lam_j lag),
@@ -82,7 +92,7 @@ __all__ = ["compute_weights"]
 
 
 _BLOCK = 64  # rows per weight block: the step block of solve's history sum, and its window
-_SOE_NODES = 8  # Gauss-Jacobi nodes on [0, 1/T], and Gauss-Legendre nodes per dyadic panel
+_SOE_NODES = 10  # Gauss-Jacobi nodes on [0, 1/T], and Gauss-Legendre nodes per dyadic panel
 _SOE_CUTOFF = 45.0  # the panels end at 45/delta, where exp(-s delta) < 3e-20
 
 
@@ -173,12 +183,13 @@ def _weight_rows(mesh: TemporalMesh, alpha: float, n0: int, n1: int, c0: int) ->
 
 def _soe_modes(alpha: float, T: float, delta: float) -> Tuple[np.ndarray, np.ndarray]:
     """Rates lam and weights omega with sum_j omega_j exp(-lam_j tau) = beta(tau)
-    to about 1e-12 relative for delta <= tau <= T (module docstring).
+    to about 1e-15 relative for delta <= tau <= T (module docstring).
 
     The Gauss-Jacobi rule for the weight x**(-alpha) on [0, 1] (Golub-Welsch,
-    from the shifted Jacobi recurrence) is scaled to [0, 1/T]; dyadic
-    Gauss-Legendre panels cover [1/T, 45/delta].  All rates and weights are
-    positive.
+    from the shifted Jacobi recurrence, its nodes polished by two Newton
+    steps on that recurrence and its weights 1 / sum_k p_k(x)**2 taken at
+    them) is scaled to [0, 1/T]; dyadic Gauss-Legendre panels cover
+    [1/T, 45/delta].  All rates and weights are positive.
     """
     q = _SOE_NODES
     b = -alpha  # the Jacobi weight (1 - y)^0 (1 + y)^b on [-1, 1], then y = 2x - 1
@@ -188,8 +199,19 @@ def _soe_modes(alpha: float, T: float, delta: float) -> Tuple[np.ndarray, np.nda
     diag[0] = b / (b + 2.0)
     diag[1:] = b * b / (s * (s + 2.0))
     off = 2.0 * m * (m + b) / s * np.sqrt(1.0 / ((s + 1.0) * (s - 1.0)))
-    # the Jacobi matrix, dense (q = 8 rows); eigh reads its lower triangle
-    x, v = np.linalg.eigh(np.diag(0.5 * (1.0 + diag)) + np.diag(0.5 * off, -1))
+    # the Jacobi matrix on [0, 1], dense (q rows); eigvalsh reads its lower triangle
+    a, c = 0.5 * (1.0 + diag), np.concatenate([[0.0], 0.5 * off, [1.0]])
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(c[1:-1], -1))
+    # the orthonormal p_{i+1} = ((x - a_i) p_i - c_i p_{i-1}) / c_{i+1}, p_0 = 1, and
+    # its derivative; eigvalsh leaves the smallest node up to 1e-13 relative off
+    for _ in range(2):  # two Newton steps on p_q(x) = 0; the weights at the second's x
+        p0, p, d0, d, norm = 0.0, 1.0, 0.0, 0.0, 0.0
+        for i in range(q):
+            norm = norm + p * p  # sum of p_k(x)**2, k < q
+            u = x - a[i]
+            p0, p = p, (u * p - c[i] * p0) / c[i + 1]
+            d0, d = d, (u * d + p0 - c[i] * d0) / c[i + 1]
+        x = x - p / d
 
     g, gw = np.polynomial.legendre.leggauss(q)
     # in logs, so that no ratio of extreme T and delta overflows
@@ -198,10 +220,90 @@ def _soe_modes(alpha: float, T: float, delta: float) -> Tuple[np.ndarray, np.nda
     nodes = lo * (1.5 + 0.5 * g)
     lam = np.concatenate([x / T, nodes.ravel()])
     omega = np.concatenate([
-        v[0] ** 2 / (1.0 - alpha) * T ** (alpha - 1.0),
+        1.0 / (norm * (1.0 - alpha)) * T ** (alpha - 1.0),
         (0.5 * lo * gw * nodes ** -alpha).ravel(),
     ])
     return lam, math.sin(math.pi * alpha) / math.pi * omega
+
+
+def _soe_gauss(
+    lam: np.ndarray, omega: np.ndarray, alpha: float, T: float, delta: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fewer modes for the same kernel: the r-point Gauss rule of the positive
+    measure sum_j omega_j delta(x - log lam_j) (module docstring).
+
+    r is the smallest count whose largest relative fit error on 100
+    log-spaced tau in [delta, T] is at most 1e-14, but at most the count of
+    an 8-node base (8 rates per panel and 8 on [0, 1/T]), which r takes
+    where no smaller r meets that target.  The rules of every r come from
+    one Lanczos run on diag(log lam) from sqrt(omega), fully
+    reorthogonalized: eigh turns its r x r Jacobi matrix into r nodes,
+    clipped into [lam_min, lam_max], and r positive weights.  The log of
+    the error falls about linearly in r, so r is searched by interpolation
+    in it from a first guess, with bisection steps where that stalls.
+    The temporaries, mostly
+    the Lanczos vectors (r of them, lam.size long), are freed on return.
+    """
+    x = np.log(lam)  # lam is ascending: the Gauss-Jacobi rates, then the panels'
+    total = float(np.sum(omega))
+    tau = np.geomspace(delta, T, 100)
+    kernel = tau ** (alpha - 1.0) / math.gamma(alpha)
+    basis = np.sqrt(omega / total)[None, :]  # row i: the i-th Lanczos vector
+    diag, off = [], []  # the Jacobi matrix, as far as the Lanczos run has gone
+    v = basis[0]  # the residual of the last step: off[-1] times the next vector
+
+    def rule(r: int) -> Tuple[np.ndarray, np.ndarray, float]:
+        nonlocal basis, v
+        if basis.shape[0] < r:  # room for r vectors, grown only past the first probe
+            grown = np.empty((r, x.size))
+            grown[: basis.shape[0]] = basis
+            basis = grown
+        for i in range(len(diag), r):
+            if i:
+                np.divide(v, off[-1], out=basis[i])
+            done = basis[: i + 1]
+            v = x * basis[i]
+            c = done @ v
+            diag.append(float(c[i]))  # the Rayleigh quotient of vector i
+            v -= c @ done
+            v -= (done @ v) @ done  # twice is enough (Kahan, Parlett)
+            off.append(math.sqrt(float(v @ v)))
+        jacobi = np.diag(diag[:r])
+        jacobi.ravel()[r :: r + 1] = off[: r - 1]  # the subdiagonal; eigh reads the lower triangle
+        nodes, vectors = np.linalg.eigh(jacobi)
+        weights = total * vectors[0] ** 2
+        del jacobi, vectors
+        rates = np.clip(np.exp(nodes), lam[0], lam[-1])
+        # the exponents -tau_i rates_j as a product: a broadcast ufunc would
+        # take two buffers of the product's size
+        fit = tau[:, None] @ -rates[None, :]
+        fit = np.exp(fit, out=fit) @ weights
+        error = float(np.max(np.abs(fit / kernel - 1.0)))
+        return rates, weights, max(error, 1e-300)  # the search takes its log
+
+    # r = lo misses the target, r = hi is taken; the empty rule r = 0 misses by 1.  The
+    # first guess is what the benchmark meshes need, 0.38-0.39 of the base's modes
+    lo, hi = 0, lam.size // _SOE_NODES * 8
+    errors, stalled, found = {0: 1.0}, 0, None
+    r = min(round(0.39 * lam.size), hi - 1)
+    while True:
+        rates, weights, errors[r] = rule(r)
+        if errors[r] <= 1e-14:
+            hi, found = r, (rates, weights)
+            stalled += 1  # hi may creep down a step at a time
+        else:
+            lo, stalled = r, 0
+        if hi - lo <= 1:
+            return found if found is not None else rule(hi)[:2]
+        # the line through lo's and hi's log errors, or, before hi has one,
+        # through r = 0's and lo's
+        base = lo if hi in errors else 0
+        top = hi if hi in errors else lo
+        if stalled >= 3 or errors[top] >= errors[base]:
+            r = (lo + hi) // 2
+        else:  # where that line reaches 1e-14
+            step = math.log(errors[base] / 1e-14) / math.log(errors[base] / errors[top])
+            r = min(max(base + round((top - base) * step), lo + 1), hi - 1)
 
 
 def _soe_factors(lam: np.ndarray, k: np.ndarray, lag: np.ndarray) -> np.ndarray:

@@ -35,16 +35,16 @@ The history H_n sums over every earlier step, a block of _BLOCK steps
 at a time (the lag-sum splitting of Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985), in O(N (_BLOCK + modes) J) flops and
 O((2 _BLOCK + modes) J) memory.  Alive are one block of weights
-(_BLOCK x 2 _BLOCK), the rows 6h k_s d_s of two blocks, in two buffers
-of (_BLOCK, J+1): cur, block i's, and prev, block i-1's, and one scratch
-of (_SUB, J+1) that every matrix product of the history and of the
-sources is written into before it is added where it belongs, so that no
-product of a block's or of z's size is ever allocated.  The weights
-enter the rows exactly as quadrature returns them (it takes their powers
-on [0, 1] and scales by T**(alpha-1), so no final time overflows them);
-the rows of steps not yet taken hold their partial history (and, from
-their sub-block's start, their source) until the step finishes and
-overwrites its row with its own 6h k_n d_n.
+(_BLOCK x 2 _BLOCK) and the rows 6h k_s d_s of two blocks, at the J-1
+interior nodes, in two buffers of (_BLOCK, J-1): cur, block i's, and
+prev, block i-1's.  Every matrix product of the history and of the
+sources is added straight into the rows it belongs to, by BLAS dgemm
+with beta = 1 (_gemm), so no product of a block's or of z's size is
+ever allocated.  The weights enter the rows
+exactly as quadrature returns them (it takes their powers on [0, 1] and
+scales by T**(alpha-1), so no final time overflows them); the rows of
+steps not yet taken hold their partial history and source until the step
+finishes and overwrites its row with its own 6h k_n d_n.
 
   - Block phase, at the top of solve's outer loop: when block i, the
     steps [b0, b1), starts, its rows of the weight table are built, for
@@ -53,25 +53,28 @@ overwrites its row with its own 6h k_n d_n.
     all block i's steps, s < b0, is written over it.  Its tail,
     s < c0 = b0 - _BLOCK, goes through the sum-of-exponentials (SOE)
     modes of the kernel (see quadrature): a state z, one row per mode,
-    holds the tail at t_{b0-1}.  First z decays from the last block's
-    t_{b0-1} and takes block i-2, which just left the window (one matrix
-    product, _SUB modes at a time through the scratch).  Then block i's
-    exact window, block i-1 in prev (c0 <= s < b0; empty for block 0,
-    which reads none of prev's rows), is one matrix product with the
-    block's weights, written into cur.  The buffers swap names when the
-    block's steps are done.  The modes are built once per solve, for the
-    lags from the smallest t_{b0-1} - t_{c0-1} of the tail blocks up to
-    T.  With N <= 2 _BLOCK there is no tail and no modes.
+    holds the tail at t_{b0-1}.  In order, one product each:
+    (i) z decays from the last block's t_{b0-1} and takes block i-2,
+    which just left the window, while cur still holds it;
+    (ii) the rows take the block's sources 6h f^{n-1/2} = 6h
+    factors[n-1] @ profiles (see problems.f_half), written over block
+    i-2, and the norms of the f^{n-1/2} for the energy bound are taken
+    from them, all rows at once;
+    (iii) the rows add the exact window, block i-1 in prev
+    (c0 <= s < b0; none for block 0, which reads none of prev's rows),
+    times the block's weights;
+    (iv) the rows add the tail, the block's SOE factors times z.
+    The buffers swap names when the block's steps are done.  The modes
+    are built once per solve, for the lags from the smallest
+    t_{b0-1} - t_{c0-1} of the tail blocks up to T: the Gauss rule of a
+    10-node base (see quadrature).  With N <= 2 _BLOCK there is no tail
+    and no modes.
   - Sub-block phase: the block's steps run _SUB at a time.  When a
-    sub-block starts, the scratch takes three products in turn, each
-    added into the sub-block's rows: the tail, its rows of the SOE
-    factors times z; the near terms of the block's finished steps, one
-    matrix product with those rows; and the sub-block's sources
-    f^{n-1/2} = factors[n-1] @ profiles (see problems.f_half), whose norms
-    for the energy bound are taken there, all rows at once.
+    sub-block starts, its rows add the near terms of the block's
+    finished steps, one product with those rows.
   - Step phase: step n adds the near terms of the finished steps of its
-    own sub-block, at most _SUB - 1, to its row, which then holds
-    6h (H_n + f^{n-1/2}).
+    own sub-block, at most _SUB - 1, to its row (through _Tridiagonal's
+    tmp), which then holds 6h (H_n + f^{n-1/2}).
 
 Each step's nonlinear system is solved by fixed-point (Picard) iteration
 with the convection term lagged: every pass solves one symmetric,
@@ -95,17 +98,20 @@ _factor).  _picard makes each pass one back substitution through
 tridiagonal_solve (dpttrs), kept as its own function so that a traced
 run can time the per-pass solve.
 
-dpttrf and dpttrs are the LAPACK routines of the OpenBLAS that numpy
-itself loads: the ILP64 symbols scipy_dpttrf_64_ and scipy_dpttrs_64_,
-found through numpy's linalg extension and called with ctypes (numpy >= 2
+dpttrf and dpttrs are the LAPACK routines, and dgemm the CBLAS routine,
+of the OpenBLAS that numpy itself loads: the ILP64 symbols
+scipy_dpttrf_64_, scipy_dpttrs_64_ and scipy_cblas_dgemm64_, found
+through numpy's linalg extension and called with ctypes (numpy >= 2
 wheels export them; without them the import fails with one ImportError).
-They take raw addresses, so _Tridiagonal allocates every array they
-write through and builds every argument, once per solve.
+They take raw addresses, so _Tridiagonal allocates every array the first
+two write through and builds every argument, once per solve, and _gemm
+checks every array it passes (dtype, strides, shapes, overlap) and
+raises on any it cannot take.
 
 The step loop allocates no full-length array.  solve keeps one
-workspace: the scratch, _Tridiagonal's two iterate rows, the factor, one
-row for the step's right-hand side 6h a U^{n-1} + (the step's row), and
-one temporary, and, beside U^{n-1}, one row D = U^{n-1} - U^{n-2} (zero
+workspace: _Tridiagonal's two iterate rows, the factor, one row for the
+step's right-hand side 6h a U^{n-1} + (the step's row), and one
+temporary, and, beside U^{n-1}, one row D = U^{n-1} - U^{n-2} (zero
 before step 1).  V_pred is written from them straight into the first
 iterate row.  _Tridiagonal also prebuilds, for either iterate row, the
 views a pass reads and writes, so that a pass slices nothing, allocates
@@ -120,7 +126,7 @@ Every step checks the energy bound
 
 which the scheme satisfies because the convection form is skew-symmetric
 and the product-integration weights induce a positive-semidefinite memory
-pairing.  The SOE tail changes the far weights by about 1e-12 relative,
+pairing.  The SOE tail changes the far weights by about 1e-14 relative,
 so the pairing is positive semidefinite up to a perturbation of that size
 rather than exactly; the check guards it.  A violation raises
 StabilityViolationError (never expected; it would indicate an assembly
@@ -140,7 +146,7 @@ from numpy.linalg import _umath_linalg
 from .gridops import GridFunction, convection_values, norm_l2, second_diff_values
 from .mesh import SpatialGrid, TemporalMesh, whole_count
 from .problems import F_MODES, ManufacturedProblem, f_half
-from .quadrature import _BLOCK, _soe_factors, _soe_modes, compute_weights
+from .quadrature import _BLOCK, _soe_factors, _soe_gauss, _soe_modes, compute_weights
 
 __all__ = [
     "SchemeConfig",
@@ -152,20 +158,26 @@ __all__ = [
 ]
 
 _STABILITY_SLACK = 1e-9
-_SUB = 8  # steps per sub-block: the rows of the one scratch of products
+_SUB = 8  # steps per sub-block
 _BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L, t) = 0
 
-# Fortran calling convention: every argument by address, integers int64
 try:
     _lapack = ctypes.CDLL(_umath_linalg.__file__)
     dpttrf, dpttrs = _lapack.scipy_dpttrf_64_, _lapack.scipy_dpttrs_64_
+    dgemm = _lapack.scipy_cblas_dgemm64_
 except AttributeError:
     raise ImportError(
-        "memburgers: numpy's LAPACK exports no scipy_dpttrf_64_ / scipy_dpttrs_64_ "
-        "(numpy >= 2.0 wheels do)"
+        "memburgers: numpy's LAPACK exports no scipy_dpttrf_64_ / scipy_dpttrs_64_ / "
+        "scipy_cblas_dgemm64_ (numpy >= 2.0 wheels do)"
     ) from None
+# Fortran calling convention: every argument by address, integers int64
 dpttrf.argtypes, dpttrf.restype = [ctypes.c_void_p] * 4, None  # n, d, e, info
 dpttrs.argtypes, dpttrs.restype = [ctypes.c_void_p] * 7, None  # n, nrhs, d, e, b, ldb, info
+# CBLAS: order, transa, transb as C ints; m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
+_int, _size, _real, _ptr = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+dgemm.argtypes = [_int] * 3 + [_size] * 3 + [_real, _ptr, _size, _ptr, _size, _real, _ptr, _size]
+dgemm.restype = None
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112  # the CBLAS enum values
 
 
 class NonconvergenceError(RuntimeError):
@@ -290,6 +302,46 @@ def tridiagonal_solve(system: _Tridiagonal, row: int) -> None:
         raise ValueError(f"tridiagonal_solve: dpttrs rejected argument {-system.info.value}")
 
 
+def _gemm(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray,
+    alpha: float = 1.0, beta: float = 0.0, trans_a: bool = False,
+) -> None:
+    """c = alpha op(a) @ b + beta c, in place in c (BLAS dgemm); op(a) is a.T
+    with trans_a, else a.  beta = 0 does not read c.
+
+    a, b and c must be float64 matrices of matching shapes whose rows are
+    unit-stride and at least a row's length apart (BLAS's leading
+    dimension), and c must be writeable and overlap neither a nor b;
+    anything else raises ValueError.
+    """
+    for name, x in (("a", a), ("b", b), ("c", c)):
+        if x.dtype != np.float64 or x.ndim != 2:
+            raise ValueError(f"_gemm: {name} must be a float64 matrix, got {x.dtype}, {x.ndim}-d")
+    m, k = a.shape[::-1] if trans_a else a.shape
+    n = b.shape[1]
+    if b.shape[0] != k or c.shape != (m, n):
+        raise ValueError(f"_gemm: shapes {a.shape}{'.T' if trans_a else ''} @ {b.shape} "
+                         f"do not give c's {c.shape}")
+    if np.may_share_memory(c, a) or np.may_share_memory(c, b) or not c.flags.writeable:
+        raise ValueError("_gemm: c must be writeable and overlap neither a nor b")
+    if m == 0 or n == 0:
+        return
+    if k == 0:  # an empty sum: c = beta c
+        if beta:
+            c *= beta
+        else:
+            c.fill(0.0)
+        return
+    for name, x in (("a", a), ("b", b), ("c", c)):
+        rows, step = x.strides
+        if step != 8 or rows % 8 or rows < 8 * x.shape[1]:
+            raise ValueError(f"_gemm: {name}'s rows must be unit-stride and at least a row "
+                             f"apart, got strides {x.strides}")
+    dgemm(_ROW_MAJOR, _TRANS if trans_a else _NO_TRANS, _NO_TRANS, m, n, k,
+          alpha, a.ctypes.data, a.strides[0] // 8, b.ctypes.data, b.strides[0] // 8,
+          beta, c.ctypes.data, c.strides[0] // 8)
+
+
 def _factor(a: float, c: float, system: _Tridiagonal, step: int) -> None:
     """Factor the step's matrix, diagonal a + 2c and off-diagonal -c, as L D L^T
     in system's d and e.
@@ -408,20 +460,21 @@ def solve(
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     t, k = mesh.t, mesh.k
     starts = range(1, mesh.N + 1, _BLOCK)  # the blocks' first steps
-    # row r of cur: 6h k_s d2(V_s), s = b0 + r in block i, or its history until step s;
-    # prev: block i - 1's rows
-    cur = np.zeros((min(_BLOCK, mesh.N), grid.J + 1))
+    # row r of cur: 6h k_s d2(V_s) at the interior nodes, s = b0 + r in block i, or its
+    # history until step s; prev: block i - 1's rows
+    cur = np.zeros((min(_BLOCK, mesh.N), grid.J - 1))
     prev = np.zeros(cur.shape)  # not zeros_like, which writes: block 0 touches no page of it
     tail = np.asarray(starts[2:])  # blocks with steps s < c0 = b0 - _BLOCK
     if tail.size:
         # the smallest lag t_{n-1} - t_s of a tail pair, s < c0 <= b0 <= n
-        lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - _BLOCK - 1])))
-        z = np.zeros((lam.size, grid.J + 1))  # the tail state at t_{b0-1}, one row per mode
+        delta = float(np.min(t[tail - 1] - t[tail - _BLOCK - 1]))
+        lam, omega = _soe_gauss(*_soe_modes(alpha, mesh.T, delta), alpha, mesh.T, delta)
+        z = np.zeros((lam.size, grid.J - 1))  # the tail state at t_{b0-1}, one row per mode
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
+    sources = profiles[:, 1:-1]
 
     system = _Tridiagonal(grid.J)  # the step's workspace
-    iterates, rhs = system.iterates, system.rhs
-    scratch = np.empty((_SUB, grid.J + 1))  # one sub-block's products, one at a time
+    iterates, rhs, tmp = system.iterates, system.rhs, system.tmp
     six_h = 6.0 * h  # the step's system is scaled by 6h: rows, rhs and factor
     trajectory = None
     if keep_trajectory:
@@ -439,41 +492,36 @@ def solve(
             if c0 > 1:  # tail: decay z to t_{b0-1}, add block i - 2 (just left the window)
                 z *= np.exp(-lam * (t[b0 - 1] - t[c0 - 1]))[:, None]
                 p0 = c0 - _BLOCK  # block i - 2: steps p0..c0-1, still in cur
-                e = _soe_factors(lam, k[p0 - 1 : c0 - 1], t[b0 - 1] - t[p0:c0]).T
-                g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
-                for j0 in range(0, lam.size, _SUB):  # z += e @ cur, _SUB modes at a time
-                    part = scratch[: min(_SUB, lam.size - j0)]
-                    z[j0 : j0 + _SUB] += np.matmul(e[j0 : j0 + _SUB], cur, out=part)
+                e = _soe_factors(lam, k[p0 - 1 : c0 - 1], t[b0 - 1] - t[p0:c0])
+                _gemm(e, cur, z, beta=1.0, trans_a=True)
             rows = cur[: b1 - b0]  # block i's rows, written over block i - 2's
-            np.matmul(w[:, : b0 - c0], prev[: b0 - c0], out=rows)  # exact window
+            _gemm(factors[b0 - 1 : b1 - 1], sources, rows, alpha=six_h)  # 6h f^{n-1/2}
+            f_norms = (np.sqrt(h * np.einsum("ij,ij->i", rows, rows)) / six_h).tolist()
+            if c0 < b0:  # the exact window
+                _gemm(w[:, : b0 - c0], prev[: b0 - c0], rows, beta=1.0)
+            if c0 > 1:  # the tail, through the SOE factors of the block's steps
+                g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
+                _gemm(g, z, rows, beta=1.0)
             for q0 in range(0, b1 - b0, _SUB):  # sub-block: rows q0..q1-1
                 q1 = min(q0 + _SUB, b1 - b0)
-                sub, part = rows[q0:q1], scratch[: q1 - q0]
-                if c0 > 1:
-                    sub += np.matmul(g[q0:q1], z, out=part)
                 if q0:  # the near terms of the block's finished steps
-                    sub += np.matmul(near[q0:q1, :q0], rows[:q0], out=part)
-                f = np.matmul(factors[b0 + q0 - 1 : b0 + q1 - 1], profiles, out=part)  # f^{n-1/2}
-                f_inner = f[:, 1:-1]
-                f_norms = np.sqrt(h * np.einsum("ij,ij->i", f_inner, f_inner)).tolist()
-                f *= six_h
-                sub += f
+                    _gemm(near[q0:q1, :q0], rows[:q0], rows[q0:q1], beta=1.0)
                 for r in range(q0, q1):  # step n: its last near terms, then its system
                     n = b0 + r
                     kn = float(k[n - 1])
                     if r > q0:  # rows[r] then holds 6h (H_n + f^{n-1/2})
-                        rows[r] += np.matmul(near[r, q0:r], rows[q0:r], out=scratch[0])
+                        rows[r] += np.matmul(near[r, q0:r], rows[q0:r], out=tmp)
                     a = (six_h if n == 1 else 2.0 * six_h) / kn
                     d2_scale = 6.0 * kn / h  # 6h k_n / h^2
                     np.multiply(u_prev[1:-1], a, out=rhs)
-                    rhs += rows[r, 1:-1]
+                    rhs += rows[r]
                     # V_pred = U^{n-1} + k_n / (2 k_{n-1}) D, U^0 at step 1, in _picard's start row
                     np.multiply(diff, kn / (2.0 * float(k[n - 2])) if n > 1 else 0.0, out=iterates[0])
                     iterates[0] += u_prev
                     _factor(a, near[r, r] * d2_scale, system, step=n)
                     v, passes, increment = _picard(system, h, config, step=n)
 
-                    second_diff_values(v[:-2], v[1:-1], v[2:], d2_scale, out=rows[r, 1:-1])
+                    second_diff_values(v[:-2], v[1:-1], v[2:], d2_scale, out=rows[r])
                     # U^n into D's spent array, then D = U^n - U^{n-1} into U^{n-1}'s; swap
                     if n == 1:
                         diff[:] = v
@@ -482,7 +530,7 @@ def solve(
                         np.subtract(v, u_prev, out=diff)
                     np.subtract(diff, u_prev, out=u_prev)
                     u_prev, diff = diff, u_prev
-                    forcing_budget += 2.0 * kn * f_norms[r - q0]
+                    forcing_budget += 2.0 * kn * f_norms[r]
                     margin = _check_stability(u0_norm + forcing_budget, u_prev, h, step=n)
                     reports.append(StepReport(n, passes, increment, margin))
                     if trajectory is not None:

@@ -191,10 +191,11 @@ def spliced_weights(mesh, alpha: float, block: int) -> np.ndarray:
         w_ns = sum_j omega_j F_j(k_n, 0) F_j(k_s, t_{n-1} - t_s),
         F_j(k, lag) = -expm1(-lam_j k) / (lam_j k) * exp(-lam_j lag),
 
-    with the package's modes for the smallest such lag of the mesh, each
-    weight evaluated on its own rather than through a decayed state.
+    with the modes solve takes for the smallest such lag of the mesh (the
+    Gauss rule of the base modes), each weight evaluated on its own rather
+    than through a decayed state.
     """
-    from memburgers.quadrature import _soe_modes
+    from memburgers.quadrature import _soe_gauss, _soe_modes
 
     w = weights_row_loop(mesh, alpha)
     t, k, N = mesh.t, mesh.k, mesh.N
@@ -202,7 +203,8 @@ def spliced_weights(mesh, alpha: float, block: int) -> np.ndarray:
     tail = starts[starts > 2 * block]
     if not tail.size:
         return w
-    lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - block - 1])))
+    delta = float(np.min(t[tail - 1] - t[tail - block - 1]))
+    lam, omega = _soe_gauss(*_soe_modes(alpha, mesh.T, delta), alpha, mesh.T, delta)
 
     def factor(k_, lag):
         x = np.multiply.outer(k_, lam)

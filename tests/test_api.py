@@ -213,8 +213,8 @@ def test_a_solve_and_the_cli_load_no_scipy():
 
 
 def test_import_without_the_lapack_symbols_fails_in_one_line():
-    # a numpy whose LAPACK exports neither routine: one ImportError naming
-    # both, and no fallback
+    # a numpy whose LAPACK exports none of the routines: one ImportError
+    # naming all three (the two LAPACK ones and BLAS's dgemm), and no fallback
     proc = _run_fresh("""
         import ctypes
         import numpy
@@ -232,3 +232,4 @@ def test_import_without_the_lapack_symbols_fails_in_one_line():
     assert proc.returncode == 0, proc.stderr
     (line,) = proc.stdout.splitlines()
     assert "scipy_dpttrf_64_" in line and "scipy_dpttrs_64_" in line
+    assert "scipy_cblas_dgemm64_" in line

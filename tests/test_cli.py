@@ -296,6 +296,18 @@ def test_non_finite_length_or_final_time_exits_2(capsys, flag):
     assert f"{flag[2:]} must be positive and finite, got inf" in captured.err
 
 
+def test_underflowing_base_step_names_final_time_and_steps(capsys):
+    # T/N underflows to 0 here at gamma = 1: the line blames T and N, not gamma
+    code = main(["weights-dump", "--alpha", "0.5", "--gamma", "1", "--N", "2", "--T", "5e-324"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "memburgers: build_graded_mesh: T = 5e-324 is too small for N = 2: "
+        "the base step T**(1/gamma)/N underflows to 0\n"
+    )
+
+
 def test_overflowing_final_time_exits_2(capsys):
     # exact(x, T) takes T**(alpha+1), which overflows a float at T = 1e300;
     # the line names the problem, the power and T, not Python's errno tuple

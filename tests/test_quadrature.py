@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from memburgers import quadrature, resolve_gamma
 from memburgers.mesh import TemporalMesh, build_graded_mesh
-from memburgers.quadrature import _BLOCK, _SOE_NODES, _soe_factors, _soe_modes, compute_weights
+from memburgers.problems import problem_by_name
+from memburgers.quadrature import (
+    _BLOCK,
+    _SOE_NODES,
+    _soe_factors,
+    _soe_gauss,
+    _soe_modes,
+    compute_weights,
+)
 
 from oracles import weight_by_quadrature, weights_row_loop
 
@@ -287,16 +296,25 @@ def _weight_mpmath(mesh, n, s, alpha):
         return float(num / ((t[3] - t[2]) * (t[1] - t[0]) * mpmath.gamma(a + 1)))
 
 
+def _tail_delta(mesh):
+    """The smallest lag t_{b0-1} - t_{c0-1} of a tail block, as solve takes it."""
+    t = mesh.t
+    starts = np.arange(1, mesh.N + 1, _BLOCK)
+    tail = starts[starts > 2 * _BLOCK]
+    return float(np.min(t[tail - 1] - t[tail - _BLOCK - 1]))
+
+
 def _assert_tail_weights_match_mpmath(mesh, alpha):
     # far pairs s < c0 = b0 - _BLOCK of the first and the last tail block,
-    # with delta taken from the mesh as solve does; pytest turns any
-    # RuntimeWarning into an error.  A factor is 0 only where its
-    # exp(-lam lag) underflows, so every F lies in [0, 1] and is positive
-    # wherever lam lag < 700
+    # with the modes solve takes (the Gauss rule of the base modes, for
+    # delta from the mesh); pytest turns any RuntimeWarning into an error.
+    # A factor is 0 only where its exp(-lam lag) underflows, so every F
+    # lies in [0, 1] and is positive wherever lam lag < 700
     t, k = mesh.t, mesh.k
     starts = np.arange(1, mesh.N + 1, _BLOCK)
     tail = starts[starts > 2 * _BLOCK]
-    lam, omega = _soe_modes(alpha, mesh.T, float(np.min(t[tail - 1] - t[tail - _BLOCK - 1])))
+    delta = _tail_delta(mesh)
+    lam, omega = _soe_gauss(*_soe_modes(alpha, mesh.T, delta), alpha, mesh.T, delta)
     for b0 in (tail[0], tail[-1]):
         b1, c0 = min(b0 + _BLOCK, mesh.N + 1), b0 - _BLOCK
         row_lag, col_lag = t[b0 - 1 : b1 - 1] - t[b0 - 1], t[b0 - 1] - t[1:c0]
@@ -338,6 +356,50 @@ def test_soe_modes_fit_kernel(alpha, T, delta):
     fit = np.exp(-np.multiply.outer(tau, lam)) @ omega
     kernel = tau ** (alpha - 1.0) / gamma(alpha)
     assert np.max(np.abs(fit / kernel - 1.0)) <= 1e-12
+
+
+def _relative_fit(lam, omega, alpha, tau):
+    kernel = tau ** (alpha - 1.0) / gamma(alpha)
+    return np.max(np.abs(np.exp(-np.multiply.outer(tau, lam)) @ omega / kernel - 1.0))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 0.9, 0.95])
+@pytest.mark.parametrize("T,delta", [(1.0, 1e-3), (1.0, 1e-9), (1e6, 1e-2), (1e-6, 1e-12)])
+def test_soe_gauss_modes_fit_kernel(alpha, T, delta, monkeypatch):
+    # the Gauss rule of the base modes: positive weights, rates inside the
+    # base's range, never more modes than an 8-node base, and a fit of
+    # 1e-14 on the 100 samples it is chosen on (about that between them);
+    # where it takes the 8-node count (alpha <= 0.1 at delta = 1e-9 and
+    # alpha = 0.05 at T = 1e6 here, where the fit's rounding floor is near
+    # 1e-14), the fit is still the 8-node base's 1e-12
+    base_lam, base_omega = _soe_modes(alpha, T, delta)
+    lam, omega = _soe_gauss(base_lam, base_omega, alpha, T, delta)
+    monkeypatch.setattr(quadrature, "_SOE_NODES", 8)
+    most = _soe_modes(alpha, T, delta)[0].size
+    assert lam.size <= most
+    assert np.all(omega > 0.0)
+    assert base_lam.min() <= lam.min() and lam.max() <= base_lam.max()
+    chosen_on, between = np.geomspace(delta, T, 100), np.geomspace(delta, T, 2000)
+    if lam.size < most:
+        assert _relative_fit(lam, omega, alpha, chosen_on) <= 1e-14
+        assert _relative_fit(lam, omega, alpha, between) <= 2e-14
+    else:
+        assert _relative_fit(lam, omega, alpha, between) <= 1e-12
+
+
+@pytest.mark.parametrize("problem,alpha,gamma_rule,f_mode,n_steps,most", [
+    ("example1", 0.25, "2/(alpha+1)", "endpoint_average", 4096, 64),  # long_history
+    ("example2", 0.75, "auto-sigma", "interval_average", 256, 40),  # singular_study's levels
+    ("example2", 0.75, "auto-sigma", "interval_average", 512, 40),
+])
+def test_soe_gauss_halves_the_workload_modes(problem, alpha, gamma_rule, f_mode, n_steps, most):
+    # the 8-node base had 128, 72 and 80 modes on these meshes
+    gamma_value = resolve_gamma(gamma_rule, problem_by_name(problem, alpha), f_mode)
+    mesh = build_graded_mesh(1.0, n_steps, gamma_value)
+    delta = _tail_delta(mesh)
+    lam, omega = _soe_gauss(*_soe_modes(alpha, 1.0, delta), alpha, 1.0, delta)
+    assert lam.size <= most
+    assert _relative_fit(lam, omega, alpha, np.geomspace(delta, 1.0, 2000)) <= 2e-14
 
 
 def _gauss_jacobi_mpmath(q, alpha):

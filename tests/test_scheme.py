@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpttrf as scipy_dpttrf
 
-from memburgers import resolve_gamma, scheme
+from memburgers import error_at_final_time, resolve_gamma, scheme
 from memburgers.gridops import norm_l2
 from memburgers.mesh import TemporalMesh, build_graded_mesh, build_spatial_grid
 from memburgers.problems import (
@@ -232,6 +232,81 @@ def test_truncated_factor_is_bit_identical(m, monkeypatch):
                     assert len(calls) > 1
 
 
+def _gemm_operands(rng, m, n, k, trans_a):
+    """a, b and c with a row stride longer than a row, as the solve's views
+    of its history buffers have (cur[:, 1:-1])."""
+    def strided(rows, cols):
+        return rng.standard_normal((rows, cols + 3))[:, 1 : cols + 1]
+
+    return strided(k, m) if trans_a else strided(m, k), strided(k, n), strided(m, n)
+
+
+@pytest.mark.parametrize("m,n,k", [(8, 37, 64), (1, 5, 3), (64, 1, 1), (0, 4, 3), (3, 0, 2), (3, 4, 0)])
+@pytest.mark.parametrize("trans_a", [False, True])
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (1.0, 1.0), (-2.5, 1.0), (0.5, 0.0)])
+def test_gemm_matches_matmul(m, n, k, trans_a, alpha, beta):
+    rng = np.random.default_rng(m * 100 + n * 10 + k)
+    a, b, c = _gemm_operands(rng, m, n, k, trans_a)
+    op_a = a.T if trans_a else a
+    expected = alpha * np.matmul(op_a, b) + beta * c
+    if beta == 0.0:
+        c[...] = np.nan  # beta = 0 does not read c
+    untouched = b.copy(), a.copy()
+    scheme._gemm(a, b, c, alpha=alpha, beta=beta, trans_a=trans_a)
+    assert np.allclose(c, expected, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(b, untouched[0]) and np.array_equal(a, untouched[1])
+
+
+def test_gemm_writes_only_c():
+    # the view c = rows[4:8] of a buffer whose other rows (b = rows[:4])
+    # and whose end columns it must not touch
+    buffer = np.arange(10.0 * 9).reshape(10, 9)
+    rows = buffer[:8, 1:-1]
+    a = np.ones((4, 4))
+    before = buffer.copy()
+    scheme._gemm(a, rows[:4], rows[4:8], beta=1.0)
+    expected = before[4:8, 1:-1] + before[:4, 1:-1].sum(axis=0)
+    assert np.array_equal(buffer[4:8, 1:-1], expected)
+    changed = buffer != before
+    changed[4:8, 1:-1] = False
+    assert not changed.any()
+
+
+def _refused_gemm_arguments():
+    ok = np.ones((3, 4)), np.ones((4, 5)), np.zeros((3, 5))
+    buffer = np.zeros((8, 8))
+    return [
+        ("float32 a", (ok[0].astype(np.float32), ok[1], ok[2]), {}),
+        ("int b", (ok[0], np.ones((4, 5), dtype=int), ok[2]), {}),
+        ("1-d c", (ok[0], ok[1][:, 0], np.zeros(3)), {}),
+        ("inner sizes", (ok[0], np.ones((3, 5)), ok[2]), {}),
+        ("c's shape", (ok[0], ok[1], np.zeros((3, 6))), {}),
+        ("transposed shape", (ok[0], ok[1], ok[2]), {"trans_a": True}),
+        ("column stride of a", (np.ones((3, 8))[:, ::2], ok[1], ok[2]), {}),
+        ("column stride of c", (ok[0], ok[1], np.zeros((3, 10))[:, ::2]), {}),
+        ("transposed view b", (ok[0], np.ones((5, 4)).T, ok[2]), {}),
+        ("rows closer than a row", (np.lib.stride_tricks.as_strided(
+            np.ones(16), (3, 4), (8, 8)), ok[1], ok[2]), {}),
+        ("broadcast rows", (np.broadcast_to(np.ones(4), (3, 4)), ok[1], ok[2]), {}),
+        ("reversed rows", (ok[0][::-1], ok[1], ok[2]), {}),
+        ("c overlaps a", (buffer[:3, :4], ok[1], buffer[2:5, :5]), {}),
+        ("c overlaps b", (np.ones((4, 4)), buffer[:4, :5], buffer[3:7, :5]), {}),
+        ("c is b", (np.ones((4, 4)), buffer[:4, :4], buffer[:4, :4]), {}),
+        ("read-only c", (ok[0], ok[1], np.broadcast_to(np.zeros(5), (3, 5))), {}),
+    ]
+
+
+@pytest.mark.parametrize("args,kwargs", [case[1:] for case in _refused_gemm_arguments()],
+                         ids=[case[0] for case in _refused_gemm_arguments()])
+def test_gemm_refuses_what_blas_cannot_take(args, kwargs):
+    # every check raises, under python -O too (none is an assert), and
+    # nothing is written
+    before = args[2].copy()
+    with pytest.raises(ValueError, match="_gemm: "):
+        scheme._gemm(*args, **kwargs)
+    assert np.array_equal(args[2], before)
+
+
 def test_factor_starts_at_the_rows_the_last_step_ended_at(monkeypatch):
     # a step whose pivots settle within 64 rows, after one whose pivots
     # needed more, factors in one call of the carried rows, and still
@@ -410,20 +485,27 @@ def test_solve_never_builds_the_full_weight_table():
 
 
 def test_history_holds_two_blocks(monkeypatch):
-    # three blocks at J = 8192, where one (_BLOCK, J+1) slot of rows is
+    # three blocks at J = 8192, where one (_BLOCK, J-1) slot of rows is
     # 4.2 MB: at its peak the solve holds the two history buffers and the
-    # SOE state z, plus O(J) rows (the (_SUB, J+1) scratch that every block
-    # product goes through among them); those rows fit in a margin of 48
-    # rows of J+1, less than a slot, so a solve that kept a third slot of
-    # rows alive would not, nor one that held a product of z's size
-    modes, soe_modes = [], scheme._soe_modes
+    # SOE state z (one row per mode of the Gauss rule solve takes), plus
+    # about 23 rows of J+1: the 7 forcing profiles, u(., 0) and u(., T) for
+    # the boundary check, U^{n-1} and D, _Tridiagonal's six rows and the
+    # weight block's few.  Every history and source product is added in
+    # place, so a margin of 24 rows holds them; a solve that kept a third
+    # slot of rows alive would not fit, nor one that wrote its products
+    # through an (8, J+1) scratch, nor one that held a product of z's size.
+    # A first solve with a tail takes the imports the modes need
+    # (numpy.polynomial), which are not the solve's memory
+    modes, soe_gauss = [], scheme._soe_gauss
 
     def counted(*args):
-        lam, omega = soe_modes(*args)
+        lam, omega = soe_gauss(*args)
         modes.append(lam.size)
         return lam, omega
 
-    monkeypatch.setattr(scheme, "_soe_modes", counted)
+    solve(example1(0.5), build_graded_mesh(1.0, 2 * _BLOCK + 1, 1.0), build_spatial_grid(1.0, 4),
+          0.5, SchemeConfig())
+    monkeypatch.setattr(scheme, "_soe_gauss", counted)
     n_steps, n_nodes = 3 * _BLOCK, 8192
     mesh = build_graded_mesh(1.0, n_steps, 1.0)
     grid = build_spatial_grid(1.0, n_nodes)
@@ -435,7 +517,7 @@ def test_history_holds_two_blocks(monkeypatch):
         tracemalloc.stop()
     row = (n_nodes + 1) * 8
     (n_modes,) = modes
-    assert peak < (2 * _BLOCK + n_modes + 48) * row
+    assert peak < (2 * _BLOCK + n_modes + 24) * row
 
 
 @pytest.mark.parametrize("n_steps", [_SUB - 1, _SUB + 1, 2 * _BLOCK + _SUB + 1])
@@ -484,6 +566,24 @@ def test_soe_tail_matches_exact_history(n_steps, monkeypatch):
     gap = np.max(np.abs(tail.final.values - exact.final.values))
     assert gap <= 1e-10 * np.max(np.abs(exact.final.values))
     assert min(r.stability_margin for r in tail.reports) >= -1e-9
+
+
+@pytest.mark.parametrize("n_steps", [256, 512])
+def test_singular_study_error_matches_the_exact_history(n_steps, monkeypatch):
+    # singular_study's two finest levels (J = 4096) through the SOE tail
+    # against the solve whose one block holds all N steps and sums every
+    # step exactly: error_l2 within 1e-8 relative (measured -2.7e-10 and
+    # +4.7e-9; the 8-node tail, before the Gauss rule, gave +1.7e-8 and
+    # +1.6e-7)
+    problem = example2(0.75)
+    config = SchemeConfig(f_mode="interval_average")
+    mesh = build_graded_mesh(1.0, n_steps, resolve_gamma("auto-sigma", problem, config.f_mode))
+    grid = build_spatial_grid(1.0, 4096)
+    tail = solve(problem, mesh, grid, problem.alpha, config)
+    monkeypatch.setattr(scheme, "_BLOCK", n_steps)
+    exact = solve(problem, mesh, grid, problem.alpha, config)
+    errors = [error_at_final_time(r.final, problem, 1.0) for r in (tail, exact)]
+    assert abs(errors[0] / errors[1] - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("n_steps", [
