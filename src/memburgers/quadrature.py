@@ -58,16 +58,19 @@ Commun. Comput. Phys. 21, 2017).  The kernel is the Laplace integral
 and `_soe_modes` discretizes it for tau in [delta, T]: Gauss-Jacobi with
 weight s**(-alpha) on [0, 1/T], then Gauss-Legendre on dyadic panels up
 to 45/delta, 10 nodes each, so beta(tau) = sum_j omega_j exp(-lam_j tau)
-to about 1e-15 relative.  Those are many more modes than the fit needs
-(160 on the benchmark's long_history mesh).  `_soe_gauss` keeps fewer:
-the r-point Gauss rule of the positive discrete measure
+to about 1e-15 relative.  Both rules come from one Golub-Welsch routine,
+`_gauss_jacobi` (Math. Comp. 23, 1969).  Those are many more modes than
+the fit needs (160 on the benchmark's long_history mesh).  `_soe_gauss`
+keeps fewer: the r-point Gauss rule of the positive discrete measure
 sum_j omega_j delta(x - log lam_j) (Golub & Meurant, Matrices, Moments and
 Quadrature with Applications, 2010), from a Lanczos run on diag(log lam),
-with the smallest r whose fit is 1e-14 (62 modes there, and 35 and 38 on
-the singular_study levels N = 256 and 512, where an 8-node base had 128,
-72 and 80).  A Gauss rule of a positive measure has positive weights and
-its nodes inside the measure's range, so the tail kernel stays a positive
-sum of decaying exponentials.  It costs 1-3 ms per solve.  Putting the
+with an r whose fit is 1e-14, found by a search, or else an 8-node base's
+count (63 modes there, and 35 and 38 on the singular_study levels N = 256
+and 512, where an 8-node base had 128, 72 and 80).  A Gauss rule of a
+positive measure has positive weights and its nodes inside the measure's
+range, so the tail kernel stays a positive sum of decaying exponentials.
+`_soe_tail` is the one entry point: it takes delta from the mesh's tail
+blocks and returns the compressed modes, in 1-3 ms per solve.  Putting the
 modes into the double integral that defines w_ns (its smallest lag is
 t_{n-1} - t_s >= delta) gives
 
@@ -181,18 +184,14 @@ def _weight_rows(mesh: TemporalMesh, alpha: float, n0: int, n1: int, c0: int) ->
     return w
 
 
-def _soe_modes(alpha: float, T: float, delta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Rates lam and weights omega with sum_j omega_j exp(-lam_j tau) = beta(tau)
-    to about 1e-15 relative for delta <= tau <= T (module docstring).
-
-    The Gauss-Jacobi rule for the weight x**(-alpha) on [0, 1] (Golub-Welsch,
-    from the shifted Jacobi recurrence, its nodes polished by two Newton
-    steps on that recurrence and its weights 1 / sum_k p_k(x)**2 taken at
-    them) is scaled to [0, 1/T]; dyadic Gauss-Legendre panels cover
-    [1/T, 45/delta].  All rates and weights are positive.
+def _gauss_jacobi(q: int, b: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the q-point Gauss rule for the weight
+    x**b on [0, 1], b > -1, the weights summing to 1: Golub-Welsch from the
+    shifted Jacobi recurrence, its nodes polished by two Newton steps on that
+    recurrence and its weights 1 / sum_k p_k(x)**2 taken at them.  b = 0 is
+    Gauss-Legendre.
     """
-    q = _SOE_NODES
-    b = -alpha  # the Jacobi weight (1 - y)^0 (1 + y)^b on [-1, 1], then y = 2x - 1
+    # the Jacobi weight (1 - y)^0 (1 + y)^b on [-1, 1], then y = 2x - 1
     m = np.arange(1.0, q)
     s = 2.0 * m + b
     diag = np.empty(q)
@@ -212,16 +211,27 @@ def _soe_modes(alpha: float, T: float, delta: float) -> Tuple[np.ndarray, np.nda
             p0, p = p, (u * p - c[i] * p0) / c[i + 1]
             d0, d = d, (u * d + p0 - c[i] * d0) / c[i + 1]
         x = x - p / d
+    return x, 1.0 / norm
 
-    g, gw = np.polynomial.legendre.leggauss(q)
+
+def _soe_modes(alpha: float, T: float, delta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Rates lam and weights omega with sum_j omega_j exp(-lam_j tau) = beta(tau)
+    to about 1e-15 relative for delta <= tau <= T (module docstring).
+
+    The Gauss-Jacobi rule for the weight x**(-alpha) on [0, 1] is scaled to
+    [0, 1/T]; dyadic Gauss-Legendre panels cover [1/T, 45/delta].  Both
+    rules come from _gauss_jacobi.  All rates and weights are positive.
+    """
+    x, xw = _gauss_jacobi(_SOE_NODES, -alpha)
+    g, gw = _gauss_jacobi(_SOE_NODES, 0.0)
     # in logs, so that no ratio of extreme T and delta overflows
     panels = max(1, math.ceil(math.log2(_SOE_CUTOFF) + math.log2(T) - math.log2(delta)))
     lo = np.ldexp(1.0, np.arange(panels))[:, None] / T  # panel [lo, 2 lo]
-    nodes = lo * (1.5 + 0.5 * g)
+    nodes = lo * (1.0 + g)
     lam = np.concatenate([x / T, nodes.ravel()])
     omega = np.concatenate([
-        1.0 / (norm * (1.0 - alpha)) * T ** (alpha - 1.0),
-        (0.5 * lo * gw * nodes ** -alpha).ravel(),
+        xw / (1.0 - alpha) * T ** (alpha - 1.0),
+        (lo * gw * nodes ** -alpha).ravel(),
     ])
     return lam, math.sin(math.pi * alpha) / math.pi * omega
 
@@ -232,17 +242,20 @@ def _soe_gauss(
     """Fewer modes for the same kernel: the r-point Gauss rule of the positive
     measure sum_j omega_j delta(x - log lam_j) (module docstring).
 
-    r is the smallest count whose largest relative fit error on 100
-    log-spaced tau in [delta, T] is at most 1e-14, but at most the count of
-    an 8-node base (8 rates per panel and 8 on [0, 1/T]), which r takes
-    where no smaller r meets that target.  The rules of every r come from
-    one Lanczos run on diag(log lam) from sqrt(omega), fully
+    The fit is the largest relative error on 100 log-spaced tau in
+    [delta, T].  r is a count whose fit is at most 1e-14 while r - 1's is
+    not, or else, when no count the search probes meets 1e-14, the count
+    of an 8-node base (8 rates per panel and 8 on [0, 1/T]), the largest
+    it probes.  r need not be the smallest count that meets 1e-14: near
+    1e-14 the fit does not fall monotonically in r, so where the search
+    ends depends on where it starts.  The rules of every r come from one
+    Lanczos run on diag(log lam) from sqrt(omega), fully
     reorthogonalized: eigh turns its r x r Jacobi matrix into r nodes,
     clipped into [lam_min, lam_max], and r positive weights.  The log of
     the error falls about linearly in r, so r is searched by interpolation
     in it from a first guess, with bisection steps where that stalls.
-    The temporaries, mostly
-    the Lanczos vectors (r of them, lam.size long), are freed on return.
+    The temporaries, mostly the Lanczos vectors (r of them, lam.size
+    long), are freed on return.
     """
     x = np.log(lam)  # lam is ascending: the Gauss-Jacobi rates, then the panels'
     total = float(np.sum(omega))
@@ -304,6 +317,22 @@ def _soe_gauss(
         else:  # where that line reaches 1e-14
             step = math.log(errors[base] / 1e-14) / math.log(errors[base] / errors[top])
             r = min(max(base + round((top - base) * step), lo + 1), hi - 1)
+
+
+def _soe_tail(mesh: TemporalMesh, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The rates lam and weights omega of solve's SOE tail on mesh: the Gauss
+    rule (_soe_gauss) of the base modes (_soe_modes) for the lags from delta
+    to T, delta the smallest t_{b0-1} - t_{b0-_BLOCK-1} over the tail blocks,
+    those whose first step b0 exceeds 2 _BLOCK.  Two empty arrays when the
+    mesh has no tail block (N <= 2 _BLOCK).
+    """
+    tail = np.arange(2 * _BLOCK + 1, mesh.N + 1, _BLOCK)  # the tail blocks' first steps
+    if not tail.size:
+        return np.empty(0), np.empty(0)
+    # the smallest lag t_{n-1} - t_s of a tail pair, s < c0 = b0 - _BLOCK <= b0 <= n
+    t = mesh.t
+    delta = float(np.min(t[tail - 1] - t[tail - _BLOCK - 1]))
+    return _soe_gauss(*_soe_modes(alpha, mesh.T, delta), alpha, mesh.T, delta)
 
 
 def _soe_factors(lam: np.ndarray, k: np.ndarray, lag: np.ndarray) -> np.ndarray:

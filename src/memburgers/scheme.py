@@ -65,10 +65,10 @@ finishes and overwrites its row with its own 6h k_n d_n.
     times the block's weights;
     (iv) the rows add the tail, the block's SOE factors times z.
     The buffers swap names when the block's steps are done.  The modes
-    are built once per solve, for the lags from the smallest
-    t_{b0-1} - t_{c0-1} of the tail blocks up to T: the Gauss rule of a
-    10-node base (see quadrature).  With N <= 2 _BLOCK there is no tail
-    and no modes.
+    come from one call, quadrature's _soe_tail, once per solve: the Gauss
+    rule of a 10-node base, for the lags from the smallest
+    t_{b0-1} - t_{c0-1} of the tail blocks up to T.  With N <= 2 _BLOCK
+    there is no tail: no modes, and z has no rows.
   - Sub-block phase: the block's steps run _SUB at a time.  When a
     sub-block starts, its rows add the near terms of the block's
     finished steps, one product with those rows.
@@ -146,7 +146,7 @@ from numpy.linalg import _umath_linalg
 from .gridops import GridFunction, convection_values, norm_l2, second_diff_values
 from .mesh import SpatialGrid, TemporalMesh, whole_count
 from .problems import F_MODES, ManufacturedProblem, f_half
-from .quadrature import _BLOCK, _soe_factors, _soe_gauss, _soe_modes, compute_weights
+from .quadrature import _BLOCK, _soe_factors, _soe_tail, compute_weights
 
 __all__ = [
     "SchemeConfig",
@@ -459,17 +459,12 @@ def solve(
     u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     t, k = mesh.t, mesh.k
-    starts = range(1, mesh.N + 1, _BLOCK)  # the blocks' first steps
     # row r of cur: 6h k_s d2(V_s) at the interior nodes, s = b0 + r in block i, or its
     # history until step s; prev: block i - 1's rows
     cur = np.zeros((min(_BLOCK, mesh.N), grid.J - 1))
     prev = np.zeros(cur.shape)  # not zeros_like, which writes: block 0 touches no page of it
-    tail = np.asarray(starts[2:])  # blocks with steps s < c0 = b0 - _BLOCK
-    if tail.size:
-        # the smallest lag t_{n-1} - t_s of a tail pair, s < c0 <= b0 <= n
-        delta = float(np.min(t[tail - 1] - t[tail - _BLOCK - 1]))
-        lam, omega = _soe_gauss(*_soe_modes(alpha, mesh.T, delta), alpha, mesh.T, delta)
-        z = np.zeros((lam.size, grid.J - 1))  # the tail state at t_{b0-1}, one row per mode
+    lam, omega = _soe_tail(mesh, alpha)  # no modes when N <= 2 _BLOCK
+    z = np.zeros((lam.size, grid.J - 1))  # the tail state at t_{b0-1}, one row per mode
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
     sources = profiles[:, 1:-1]
 
@@ -484,7 +479,7 @@ def solve(
     # a diverging iterate overflows quietly here: its increment is not
     # finite, which _picard reports as NonconvergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in starts:  # block i: the far history of all its steps
+        for b0 in range(1, mesh.N + 1, _BLOCK):  # block i: the far history of all its steps
             b1 = min(b0 + _BLOCK, mesh.N + 1)
             c0 = max(b0 - _BLOCK, 1)  # the window is block i - 1, whole; block 0 has none
             w = compute_weights(mesh, alpha, (b0, b1), first_col=c0)

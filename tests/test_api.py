@@ -212,6 +212,22 @@ def test_a_solve_and_the_cli_load_no_scipy():
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def test_a_tailed_solve_loads_no_numpy_polynomial():
+    # both Gauss rules of the sum-of-exponentials base come from the package's
+    # own Golub-Welsch routine; numpy.polynomial's leggauss took 2-3 ms of
+    # imports on the first tailed solve of every process
+    proc = _run_fresh(f"""
+        import sys
+        import memburgers
+        mesh = memburgers.build_graded_mesh(1.0, {2 * _BLOCK + 1}, 1.0)
+        grid = memburgers.build_spatial_grid(1.0, 4)
+        memburgers.solve(memburgers.example1(0.5), mesh, grid, 0.5, memburgers.SchemeConfig())
+        print("numpy.polynomial" in sys.modules)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_import_without_the_lapack_symbols_fails_in_one_line():
     # a numpy whose LAPACK exports none of the routines: one ImportError
     # naming all three (the two LAPACK ones and BLAS's dgemm), and no fallback

@@ -15,9 +15,11 @@ from memburgers.problems import problem_by_name
 from memburgers.quadrature import (
     _BLOCK,
     _SOE_NODES,
+    _gauss_jacobi,
     _soe_factors,
     _soe_gauss,
     _soe_modes,
+    _soe_tail,
     compute_weights,
 )
 
@@ -296,25 +298,16 @@ def _weight_mpmath(mesh, n, s, alpha):
         return float(num / ((t[3] - t[2]) * (t[1] - t[0]) * mpmath.gamma(a + 1)))
 
 
-def _tail_delta(mesh):
-    """The smallest lag t_{b0-1} - t_{c0-1} of a tail block, as solve takes it."""
-    t = mesh.t
-    starts = np.arange(1, mesh.N + 1, _BLOCK)
-    tail = starts[starts > 2 * _BLOCK]
-    return float(np.min(t[tail - 1] - t[tail - _BLOCK - 1]))
-
-
 def _assert_tail_weights_match_mpmath(mesh, alpha):
     # far pairs s < c0 = b0 - _BLOCK of the first and the last tail block,
-    # with the modes solve takes (the Gauss rule of the base modes, for
-    # delta from the mesh); pytest turns any RuntimeWarning into an error.
+    # with the modes solve takes (_soe_tail: the Gauss rule of the base
+    # modes, for delta from the mesh); pytest turns any RuntimeWarning into an error.
     # A factor is 0 only where its exp(-lam lag) underflows, so every F
     # lies in [0, 1] and is positive wherever lam lag < 700
     t, k = mesh.t, mesh.k
     starts = np.arange(1, mesh.N + 1, _BLOCK)
     tail = starts[starts > 2 * _BLOCK]
-    delta = _tail_delta(mesh)
-    lam, omega = _soe_gauss(*_soe_modes(alpha, mesh.T, delta), alpha, mesh.T, delta)
+    lam, omega = _soe_tail(mesh, alpha)
     for b0 in (tail[0], tail[-1]):
         b1, c0 = min(b0 + _BLOCK, mesh.N + 1), b0 - _BLOCK
         row_lag, col_lag = t[b0 - 1 : b1 - 1] - t[b0 - 1], t[b0 - 1] - t[1:c0]
@@ -392,47 +385,64 @@ def test_soe_gauss_modes_fit_kernel(alpha, T, delta, monkeypatch):
     ("example2", 0.75, "auto-sigma", "interval_average", 256, 40),  # singular_study's levels
     ("example2", 0.75, "auto-sigma", "interval_average", 512, 40),
 ])
-def test_soe_gauss_halves_the_workload_modes(problem, alpha, gamma_rule, f_mode, n_steps, most):
-    # the 8-node base had 128, 72 and 80 modes on these meshes
+def test_soe_gauss_halves_the_workload_modes(
+    problem, alpha, gamma_rule, f_mode, n_steps, most, monkeypatch
+):
+    # the 8-node base had 128, 72 and 80 modes on these meshes; the fit is
+    # checked on the lags the modes were built for, from the delta _soe_tail takes
+    deltas, soe_modes = [], quadrature._soe_modes
+
+    def recorded(alpha, T, delta):
+        deltas.append(delta)
+        return soe_modes(alpha, T, delta)
+
+    monkeypatch.setattr(quadrature, "_soe_modes", recorded)
     gamma_value = resolve_gamma(gamma_rule, problem_by_name(problem, alpha), f_mode)
-    mesh = build_graded_mesh(1.0, n_steps, gamma_value)
-    delta = _tail_delta(mesh)
-    lam, omega = _soe_gauss(*_soe_modes(alpha, 1.0, delta), alpha, 1.0, delta)
+    lam, omega = _soe_tail(build_graded_mesh(1.0, n_steps, gamma_value), alpha)
+    (delta,) = deltas
     assert lam.size <= most
     assert _relative_fit(lam, omega, alpha, np.geomspace(delta, 1.0, 2000)) <= 2e-14
 
 
 def _gauss_jacobi_mpmath(q, alpha):
-    """Nodes and weights of the q-point Gauss rule for x**(-alpha) on [0, 1], from
-    the eigenvectors of its Jacobi matrix (Golub-Welsch) at 40 digits."""
+    """Nodes and weights (summing to 1) of the q-point Gauss rule for x**(-alpha)
+    on [0, 1], from the eigenvectors of its Jacobi matrix (Golub-Welsch) at
+    40 digits."""
     with mpmath.workdps(40):
         b = -mpmath.mpf(alpha)
         jac = mpmath.zeros(q, q)
         for i in range(q):
             s = 2 * i + b
-            jac[i, i] = (1 + b * b / (s * (s + 2))) / 2
+            # b b / (s (s + 2)) at i = 0 is b / (b + 2), also where b = 0 makes it 0/0
+            jac[i, i] = (1 + (b * b / (s * (s + 2)) if i else b / (b + 2))) / 2
             if i:
                 jac[i, i - 1] = jac[i - 1, i] = i * (i + b) / s / mpmath.sqrt((s + 1) * (s - 1))
         x, v = mpmath.eigsy(jac)
-        pairs = sorted((x[j], v[0, j] ** 2 / (1 + b)) for j in range(q))
+        pairs = sorted((x[j], v[0, j] ** 2) for j in range(q))
         return np.array([[float(p) for p in pair] for pair in pairs]).T
 
 
-@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 0.95])
-@pytest.mark.parametrize("T", [1.0, 1e3])
-def test_soe_gauss_jacobi_modes_match_references(alpha, T):
-    # the first _SOE_NODES modes are the Gauss-Jacobi rule for s**(-alpha) on
-    # [0, 1/T], times sin(pi alpha)/pi.  scipy's roots_jacobi is an independent
-    # rule, but itself off a 40-digit rule by up to 3.6e-13 (alpha = 0.95);
-    # against the 40-digit rule the modes hold to a few units in the last place
-    lam, omega = _soe_modes(alpha, T, 1e-3)
-    lam, omega = lam[:_SOE_NODES], omega[:_SOE_NODES] * pi / sin(pi * alpha)
+@pytest.mark.parametrize("T,alpha", [(1.0, 0.0)] + [
+    (T, alpha) for T in (1.0, 1e3) for alpha in (0.05, 0.25, 0.5, 0.75, 0.95)
+])
+def test_soe_gauss_jacobi_modes_match_references(T, alpha):
+    # _gauss_jacobi(q, -alpha) is the Gauss rule for x**(-alpha) on [0, 1],
+    # its weights summing to 1; alpha = 0 is the Gauss-Legendre rule of the
+    # panels.  scipy's roots_jacobi is an independent rule, but itself off a
+    # 40-digit rule by up to 3.6e-13 (alpha = 0.95); against the 40-digit
+    # rule the routine holds to a few units in the last place
+    x, w = _gauss_jacobi(_SOE_NODES, -alpha)
     y, wy = roots_jacobi(_SOE_NODES, 0.0, -alpha)  # weight (1 + y)**(-alpha) on [-1, 1]
-    x, w = _gauss_jacobi_mpmath(_SOE_NODES, alpha)
-    scale = T ** (alpha - 1.0)
-    for ref_lam, ref_omega, rtol in [
-        ((1.0 + y) / 2.0 / T, wy * 2.0 ** (alpha - 1.0) * scale, 1e-12),
-        (x / T, w * scale, 5e-14),
+    for ref_x, ref_w, rtol in [
+        ((1.0 + y) / 2.0, wy / np.sum(wy), 1e-12),
+        (*_gauss_jacobi_mpmath(_SOE_NODES, alpha), 5e-14),
     ]:
-        assert np.max(np.abs(lam / ref_lam - 1.0)) <= rtol
-        assert np.max(np.abs(omega / ref_omega - 1.0)) <= rtol
+        assert np.max(np.abs(x / ref_x - 1.0)) <= rtol
+        assert np.max(np.abs(w / ref_w - 1.0)) <= rtol
+    # the first _SOE_NODES modes are that rule on [0, 1/T], times
+    # T**(alpha-1) sin(pi alpha) / (pi (1 - alpha)), the mass of s**(-alpha) there
+    if alpha:
+        lam, omega = _soe_modes(alpha, T, 1e-3)
+        scale = T ** (alpha - 1.0) * sin(pi * alpha) / (pi * (1.0 - alpha))
+        assert np.max(np.abs(lam[:_SOE_NODES] / (x / T) - 1.0)) <= 1e-15
+        assert np.max(np.abs(omega[:_SOE_NODES] / (w * scale) - 1.0)) <= 1e-15

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpttrf as scipy_dpttrf
 
-from memburgers import error_at_final_time, resolve_gamma, scheme
+from memburgers import error_at_final_time, quadrature, resolve_gamma, scheme
 from memburgers.gridops import norm_l2
 from memburgers.mesh import TemporalMesh, build_graded_mesh, build_spatial_grid
 from memburgers.problems import (
@@ -494,18 +494,16 @@ def test_history_holds_two_blocks(monkeypatch):
     # place, so a margin of 24 rows holds them; a solve that kept a third
     # slot of rows alive would not fit, nor one that wrote its products
     # through an (8, J+1) scratch, nor one that held a product of z's size.
-    # A first solve with a tail takes the imports the modes need
-    # (numpy.polynomial), which are not the solve's memory
-    modes, soe_gauss = [], scheme._soe_gauss
+    # The modes need no import of their own (numpy.polynomial was one), so
+    # no warm-up solve keeps module objects out of the count
+    modes, soe_tail = [], scheme._soe_tail
 
     def counted(*args):
-        lam, omega = soe_gauss(*args)
+        lam, omega = soe_tail(*args)
         modes.append(lam.size)
         return lam, omega
 
-    solve(example1(0.5), build_graded_mesh(1.0, 2 * _BLOCK + 1, 1.0), build_spatial_grid(1.0, 4),
-          0.5, SchemeConfig())
-    monkeypatch.setattr(scheme, "_soe_gauss", counted)
+    monkeypatch.setattr(scheme, "_soe_tail", counted)
     n_steps, n_nodes = 3 * _BLOCK, 8192
     mesh = build_graded_mesh(1.0, n_steps, 1.0)
     grid = build_spatial_grid(1.0, n_nodes)
@@ -592,15 +590,15 @@ def test_singular_study_error_matches_the_exact_history(n_steps, monkeypatch):
 ])
 def test_soe_modes_built_only_with_a_tail(n_steps, monkeypatch):
     # a solve of at most two blocks (N <= 2 _BLOCK) sums every step exactly
-    # and builds no modes; one with tail blocks builds them once, however
-    # many such blocks it has
-    calls, soe_modes = [], scheme._soe_modes
+    # and builds no base modes; one with tail blocks builds them once,
+    # however many such blocks it has
+    calls, soe_modes = [], quadrature._soe_modes
 
     def counted(*args):
         calls.append(args)
         return soe_modes(*args)
 
-    monkeypatch.setattr(scheme, "_soe_modes", counted)
+    monkeypatch.setattr(quadrature, "_soe_modes", counted)
     mesh = build_graded_mesh(1.0, n_steps, 1.0)
     solve(example1(0.5), mesh, build_spatial_grid(1.0, 4), 0.5, SchemeConfig())
     assert len(calls) == (n_steps > 2 * _BLOCK)

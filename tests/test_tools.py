@@ -1,9 +1,12 @@
-"""tools/ab.py: its median interval, and that it times the benchmark's workloads."""
+"""tools/ab.py and tools/bitwise.py: the median interval, the workloads ab times,
+and the archive step the two share."""
 
 import ast
 import importlib.util
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,13 @@ def test_ab_times_the_bench_workloads():
                               N=kw["n"], J=kw["j"], levels=kw.get("levels", 0) if kw.get("study") else 0)
     assert len(expected) == 3
     assert _ab().workloads() == expected
+
+
+@pytest.mark.parametrize("tool", ["ab", "bitwise"])
+def test_tools_exit_2_when_git_cannot_archive_the_ref(tool):
+    # both tools take REF's src/ through tools/bitwise.py's ref_src, and each
+    # reports git's refusal under its own name
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / f"{tool}.py"), "no/such-ref"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"{tool}: git archive no/such-ref failed")

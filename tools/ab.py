@@ -2,8 +2,8 @@
 
     python tools/ab.py REF [--workload W] [--seconds S]     # e.g. HEAD~1
 
-Takes REF's src/ with `git archive` into a temporary directory, as
-tools/bitwise.py does, and times the workloads of bench/run.py (the cases
+Takes REF's src/ with `git archive` into a temporary directory, through
+tools/bitwise.py's ref_src, and times the workloads of bench/run.py (the cases
 tools/bitwise.py states for them).  For each workload it starts one worker
 process per tree, each with OPENBLAS_NUM_THREADS=1 (with more, the idle
 worker's BLAS threads compete for the cores), builds the inputs once and
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import io
 import json
 import math
 import os
@@ -35,7 +34,6 @@ import random
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -167,19 +165,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="time spent taking pairs, per workload (default 20)")
     args = parser.parse_args(argv)
 
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.ref, "src"],
-                             capture_output=True)
-    if archive.returncode != 0:
-        print(f"ab: git archive {args.ref} failed: {archive.stderr.decode().strip()}",
-              file=sys.stderr)
-        return 2
     names = list(cases) if args.workload == "all" else [args.workload]
     record: Dict[str, object] = {"ref": args.ref, "seconds": args.seconds, "workloads": {}}
     rng = random.Random()
+    bitwise = _bitwise()
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        trees = (Path(tmp) / "src", ROOT / "src")
+        try:
+            trees = (bitwise.ref_src(args.ref, tmp), ROOT / "src")
+        except bitwise.ArchiveError as error:
+            print(f"ab: {error}", file=sys.stderr)
+            return 2
         for name in names:
             try:
                 result = compare(trees, cases[name], args.seconds, tmp, rng)

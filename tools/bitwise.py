@@ -2,12 +2,13 @@
 
     python tools/bitwise.py REF          # e.g. HEAD~1, or a branch name
 
-Takes REF's src/ with `git archive` into a temporary directory.  For each
-case it runs REF's package and this working tree's package, each in its
-own fresh interpreter, side by side.  A solve case digests (sha256) the
-final level, the whole trajectory and the per-step reports; a study case
-digests its rows without their wall time.  A case that raises digests its
-error type and message instead, so refusals are compared too.
+Takes REF's src/ with `git archive` into a temporary directory (ref_src,
+which tools/ab.py uses too).  For each case it runs REF's package and
+this working tree's package, each in its own fresh interpreter, side by
+side.  A solve case digests (sha256) the final level, the whole
+trajectory and the per-step reports; a study case digests its rows
+without their wall time.  A case that raises digests its error type and
+message instead, so refusals are compared too.
 
 It prints one line per case, `identical` or `DIFFERENT` with the parts
 that differ, and exits 1 if any case differs or a child fails, 2 if REF
@@ -71,6 +72,22 @@ print(json.dumps(out))
 """
 
 
+class ArchiveError(Exception):
+    """`git archive` could not take REF's src/; the message is git's."""
+
+
+def ref_src(ref: str, into: str) -> Path:
+    """Extract REF's src/ (`git archive`) into the directory into and return
+    its path; raises ArchiveError if REF cannot be archived."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+                             capture_output=True)
+    if archive.returncode != 0:
+        raise ArchiveError(f"git archive {ref} failed: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return Path(into) / "src"
+
+
 def _case(problem: str, alpha: float, gamma, f_mode: str, N: int, J: int, levels: int = 0) -> Dict:
     return dict(problem=problem, alpha=alpha, gamma=gamma, f_mode=f_mode, N=N, J=J, levels=levels)
 
@@ -109,17 +126,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("ref", help="the commit to compare this working tree against")
     args = parser.parse_args(argv)
 
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.ref, "src"],
-                             capture_output=True)
-    if archive.returncode != 0:
-        print(f"bitwise: git archive {args.ref} failed: {archive.stderr.decode().strip()}",
-              file=sys.stderr)
-        return 2
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        trees = (Path(tmp) / "src", ROOT / "src")
+        try:
+            trees = (ref_src(args.ref, tmp), ROOT / "src")
+        except ArchiveError as error:
+            print(f"bitwise: {error}", file=sys.stderr)
+            return 2
         all_cases = cases()
         for name, case in all_cases:
             (ref, ref_err), (new, new_err) = (_digests(p) for p in [_run(s, case, tmp) for s in trees])
