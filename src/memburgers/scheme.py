@@ -34,13 +34,13 @@ one scale 6h k_s / h^2 = 6 k_s / h.
 The history H_n sums over every earlier step, a block of _BLOCK steps
 at a time (the lag-sum splitting of Hairer, Lubich & Schlichte, SIAM J.
 Sci. Stat. Comput. 6, 1985), in O(N (_BLOCK + modes) J) flops and
-O((2 _BLOCK + modes) J) memory.  Alive are one block of weights
-(_BLOCK x 2 _BLOCK) and the rows 6h k_s d_s of two blocks, at the J-1
-interior nodes, in two buffers of (_BLOCK, J-1): cur, block i's, and
-prev, block i-1's.  Every matrix product of the history and of the
-sources is added straight into the rows it belongs to, by BLAS dgemm
-with beta = 1 (_gemm), so no product of a block's or of z's size is
-ever allocated.  The weights enter the rows
+O((_BLOCK + modes) J) memory.  Alive are one block of weights
+(_BLOCK x 2 _BLOCK), the rows 6h k_s d_s of one block, at the J-1
+interior nodes, in one buffer hist of (_BLOCK, J-1), and a scratch of
+_BLOCK x _CHUNK values.  Every matrix product of the history and of the
+sources is written into the scratch or added straight into the rows it
+belongs to, by BLAS dgemm with beta = 0 or 1 (_gemm), so no product of a
+block's or of z's size is ever allocated.  The weights enter the rows
 exactly as quadrature returns them (it takes their powers on [0, 1] and
 scales by T**(alpha-1), so no final time overflows them); the rows of
 steps not yet taken hold their partial history and source until the step
@@ -49,24 +49,27 @@ finishes and overwrites its row with its own 6h k_n d_n.
   - Block phase, at the top of solve's outer loop: when block i, the
     steps [b0, b1), starts, its rows of the weight table are built, for
     the columns c0..b1-1 only (see quadrature), as for every block, block
-    0 too.  cur still holds block i-2, and the far part of the history of
-    all block i's steps, s < b0, is written over it.  Its tail,
-    s < c0 = b0 - _BLOCK, goes through the sum-of-exponentials (SOE)
-    modes of the kernel (see quadrature): a state z, one row per mode,
-    holds the tail at t_{b0-1}.  In order, one product each:
-    (i) z decays from the last block's t_{b0-1} and takes block i-2,
-    which just left the window, while cur still holds it;
-    (ii) the rows take the block's sources 6h f^{n-1/2} = 6h
-    factors[n-1] @ profiles (see problems.f_half), written over block
-    i-2, and the norms of the f^{n-1/2} for the energy bound are taken
-    from them, all rows at once;
-    (iii) the rows add the exact window, block i-1 in prev
-    (c0 <= s < b0; none for block 0, which reads none of prev's rows),
-    times the block's weights;
-    (iv) the rows add the tail, the block's SOE factors times z.
-    The buffers swap names when the block's steps are done.  The modes
-    come from one call, quadrature's _soe_tail, once per solve: the Gauss
-    rule of a 10-node base, for the lags from the smallest
+    0 too.  hist holds block i-1, the exact window c0 <= s < b0
+    (c0 = b0 - _BLOCK; none for block 0), and the far part of the history
+    of all block i's steps, s < b0, is written over it.  Its tail,
+    s < c0, goes through the sum-of-exponentials (SOE) modes of the
+    kernel (see quadrature): a state z, one row per mode, holds the tail
+    at t_{c0-1}, and first decays to t_{b0-1}.  Every product then acts
+    on each node (column) on its own, so the phase walks the J-1 nodes
+    one chunk of _CHUNK columns at a time, through the scratch; per
+    chunk, in order, one product each:
+    (i) the scratch takes the block's sources 6h f^{n-1/2} = 6h
+    factors[n-1] @ profiles (see problems.f_half), and their sums of
+    squares are added up for the norms of the f^{n-1/2} in the energy
+    bound;
+    (ii) it adds the window, block i-1's rows times the block's weights;
+    (iii) it adds the tail, the block's SOE factors times z;
+    (iv) z takes block i-1, which leaves the window at the next block,
+    while hist still holds it (not at the last block, which no block
+    follows), so that z then holds the tail s < b0 at t_{b0-1};
+    (v) the scratch is written over block i-1's columns of hist.
+    The modes come from one call, quadrature's _soe_tail, once per solve:
+    the Gauss rule of a 10-node base, for the lags from the smallest
     t_{b0-1} - t_{c0-1} of the tail blocks up to T.  With N <= 2 _BLOCK
     there is no tail: no modes, and z has no rows.
   - Sub-block phase: the block's steps run _SUB at a time.  When a
@@ -116,7 +119,7 @@ before step 1).  V_pred is written from them straight into the first
 iterate row.  _Tridiagonal also prebuilds, for either iterate row, the
 views a pass reads and writes, so that a pass slices nothing, allocates
 nothing and writes no end value (see _picard).  After the passes
-6h k_n d2(V) goes straight into the step's row of cur
+6h k_n d2(V) goes straight into the step's row of hist
 (second_diff_values), U^n = 2V - U^{n-1} (U^1 = V) is written over the
 spent D, D = U^n - U^{n-1} over U^{n-1}, and the two arrays swap names.
 
@@ -159,6 +162,7 @@ __all__ = [
 
 _STABILITY_SLACK = 1e-9
 _SUB = 8  # steps per sub-block
+_CHUNK = 1024  # interior nodes per column chunk of the block phase
 _BOUNDARY_TOL = 1e-12  # largest |u(L, t)| / max(1, max |u(., t)|) taken as u(L, t) = 0
 
 try:
@@ -459,12 +463,12 @@ def solve(
     u0_norm = norm_l2(u_prev, h)
     forcing_budget = 0.0  # 2 * sum_{l<=n} k_l ||f^{l-1/2}||
     t, k = mesh.t, mesh.k
-    # row r of cur: 6h k_s d2(V_s) at the interior nodes, s = b0 + r in block i, or its
-    # history until step s; prev: block i - 1's rows
-    cur = np.zeros((min(_BLOCK, mesh.N), grid.J - 1))
-    prev = np.zeros(cur.shape)  # not zeros_like, which writes: block 0 touches no page of it
+    # row r of hist: 6h k_s d2(V_s) at the interior nodes, s = b0 + r in block i, or its
+    # history until step s; at block i's start, block i - 1's rows
+    hist = np.empty((min(_BLOCK, mesh.N), grid.J - 1))
+    scratch = np.empty((hist.shape[0], min(_CHUNK, grid.J - 1)))  # one column chunk of rows
     lam, omega = _soe_tail(mesh, alpha)  # no modes when N <= 2 _BLOCK
-    z = np.zeros((lam.size, grid.J - 1))  # the tail state at t_{b0-1}, one row per mode
+    z = np.zeros((lam.size, grid.J - 1))  # the tail state at t_{c0-1}, one row per mode
     factors, profiles = f_half(problem.forcing, mesh, config.f_mode, grid)
     sources = profiles[:, 1:-1]
 
@@ -483,20 +487,29 @@ def solve(
             b1 = min(b0 + _BLOCK, mesh.N + 1)
             c0 = max(b0 - _BLOCK, 1)  # the window is block i - 1, whole; block 0 has none
             w = compute_weights(mesh, alpha, (b0, b1), first_col=c0)
-            near = w[:, b0 - c0 :]  # columns b0..b1-1
-            if c0 > 1:  # tail: decay z to t_{b0-1}, add block i - 2 (just left the window)
+            near, window = w[:, b0 - c0 :], w[:, : b0 - c0]  # columns b0..b1-1, c0..b0-1
+            last = hist[: b0 - c0]  # block i - 1's rows
+            if c0 > 1:  # the tail: decay z to t_{b0-1}; the SOE factors of the block's steps
                 z *= np.exp(-lam * (t[b0 - 1] - t[c0 - 1]))[:, None]
-                p0 = c0 - _BLOCK  # block i - 2: steps p0..c0-1, still in cur
-                e = _soe_factors(lam, k[p0 - 1 : c0 - 1], t[b0 - 1] - t[p0:c0])
-                _gemm(e, cur, z, beta=1.0, trans_a=True)
-            rows = cur[: b1 - b0]  # block i's rows, written over block i - 2's
-            _gemm(factors[b0 - 1 : b1 - 1], sources, rows, alpha=six_h)  # 6h f^{n-1/2}
-            f_norms = (np.sqrt(h * np.einsum("ij,ij->i", rows, rows)) / six_h).tolist()
-            if c0 < b0:  # the exact window
-                _gemm(w[:, : b0 - c0], prev[: b0 - c0], rows, beta=1.0)
-            if c0 > 1:  # the tail, through the SOE factors of the block's steps
                 g = omega * _soe_factors(lam, k[b0 - 1 : b1 - 1], t[b0 - 1 : b1 - 1] - t[b0 - 1])
-                _gemm(g, z, rows, beta=1.0)
+            takes = c0 < b0 and b1 <= mesh.N  # z takes block i - 1 for the blocks after block i
+            if takes:
+                e = _soe_factors(lam, k[c0 - 1 : b0 - 1], t[b0 - 1] - t[c0:b0])
+            rows = hist[: b1 - b0]  # block i's rows, written over block i - 1's
+            squares = np.zeros(b1 - b0)  # the sums of squares of the rows' 6h f^{n-1/2}
+            for j0 in range(0, grid.J - 1, _CHUNK):  # a chunk: _CHUNK nodes from j0, or fewer
+                cols = slice(j0, j0 + _CHUNK)
+                part = scratch[: b1 - b0, : min(_CHUNK, grid.J - 1 - j0)]
+                _gemm(factors[b0 - 1 : b1 - 1], sources[:, cols], part, alpha=six_h)
+                squares += np.einsum("ij,ij->i", part, part)
+                if c0 < b0:  # the window; none for block 0
+                    _gemm(window, last[:, cols], part, beta=1.0)
+                if c0 > 1:
+                    _gemm(g, z[:, cols], part, beta=1.0)
+                if takes:
+                    _gemm(e, last[:, cols], z[:, cols], beta=1.0, trans_a=True)
+                rows[:, cols] = part
+            f_norms = (np.sqrt(h * squares) / six_h).tolist()
             for q0 in range(0, b1 - b0, _SUB):  # sub-block: rows q0..q1-1
                 q1 = min(q0 + _SUB, b1 - b0)
                 if q0:  # the near terms of the block's finished steps
@@ -530,7 +543,6 @@ def solve(
                     reports.append(StepReport(n, passes, increment, margin))
                     if trajectory is not None:
                         trajectory[n] = u_prev
-            cur, prev = prev, cur
 
     return SolveResult(
         mesh=mesh,

@@ -454,8 +454,8 @@ def test_block_boundaries_match_dense_oracle(n_steps):
     # block on), then a sub-block of _SUB steps at a time (the block's
     # finished steps by one GEMM), then per step; steps on either side of
     # each block and sub-block boundary, the first tail block, and solves
-    # whose two history buffers have swapped many times must agree with the
-    # oracle, which sums it term by term
+    # whose one history buffer has been written over many times must agree
+    # with the oracle, which sums it term by term
     alpha = 0.4
     problem = example1(alpha)
     mesh = build_graded_mesh(1.0, n_steps, 2.0 / (alpha + 1.0))
@@ -468,8 +468,8 @@ def test_block_boundaries_match_dense_oracle(n_steps):
 
 def test_solve_never_builds_the_full_weight_table():
     # the weights are built one block of rows at a time; the whole
-    # (N+1)^2 table would be 33.6 MB here.  The rows k_s d2(V_s) live in
-    # two (_BLOCK, J+1) buffers (0.5 MB), never in an (N+1, J+1) table
+    # (N+1)^2 table would be 33.6 MB here.  The rows 6h k_s d2(V_s) live in
+    # one (_BLOCK, J-1) buffer (0.26 MB), never in an (N+1, J+1) table
     # (8.4 MB); the solve peaks near 2 MB in all
     n_steps, n_nodes = 2048, 512
     mesh = build_graded_mesh(1.0, n_steps, 1.0)
@@ -484,18 +484,20 @@ def test_solve_never_builds_the_full_weight_table():
     assert peak < 0.5 * (n_steps + 1) * (n_nodes + 1) * 8
 
 
-def test_history_holds_two_blocks(monkeypatch):
-    # three blocks at J = 8192, where one (_BLOCK, J-1) slot of rows is
-    # 4.2 MB: at its peak the solve holds the two history buffers and the
-    # SOE state z (one row per mode of the Gauss rule solve takes), plus
-    # about 23 rows of J+1: the 7 forcing profiles, u(., 0) and u(., T) for
-    # the boundary check, U^{n-1} and D, _Tridiagonal's six rows and the
-    # weight block's few.  Every history and source product is added in
-    # place, so a margin of 24 rows holds them; a solve that kept a third
-    # slot of rows alive would not fit, nor one that wrote its products
-    # through an (8, J+1) scratch, nor one that held a product of z's size.
-    # The modes need no import of their own (numpy.polynomial was one), so
-    # no warm-up solve keeps module objects out of the count
+@pytest.mark.parametrize("n_steps", [3 * _BLOCK, 2 * _BLOCK], ids=["tail", "no_tail"])
+def test_history_holds_one_block(n_steps, monkeypatch):
+    # three blocks (the SOE tail takes block 0 into z) and two (no tail) at
+    # J = 8192, where one (_BLOCK, J-1) buffer of rows is 4.2 MB: at its peak
+    # the solve holds the one history buffer, the column-chunk scratch of
+    # the block phase (_BLOCK x _CHUNK) and the SOE state z (one row per mode
+    # of the Gauss rule solve takes), plus about 23 rows of J+1: the 7
+    # forcing profiles, u(., 0) and u(., T) for the boundary check, U^{n-1}
+    # and D, _Tridiagonal's six rows and the weight block's few.  Every
+    # history and source product goes through the scratch or is added in
+    # place, so a margin of 24 rows holds them; a solve that kept a second
+    # buffer of block rows alive would not fit, nor one that held a product
+    # of z's size.  The modes need no import of their own (numpy.polynomial
+    # was one), so no warm-up solve keeps module objects out of the count
     modes, soe_tail = [], scheme._soe_tail
 
     def counted(*args):
@@ -504,7 +506,7 @@ def test_history_holds_two_blocks(monkeypatch):
         return lam, omega
 
     monkeypatch.setattr(scheme, "_soe_tail", counted)
-    n_steps, n_nodes = 3 * _BLOCK, 8192
+    n_nodes = 8192
     mesh = build_graded_mesh(1.0, n_steps, 1.0)
     grid = build_spatial_grid(1.0, n_nodes)
     tracemalloc.start()
@@ -515,14 +517,47 @@ def test_history_holds_two_blocks(monkeypatch):
         tracemalloc.stop()
     row = (n_nodes + 1) * 8
     (n_modes,) = modes
-    assert peak < (2 * _BLOCK + n_modes + 24) * row
+    assert (n_modes > 0) == (n_steps > 2 * _BLOCK)
+    scratch = _BLOCK * min(scheme._CHUNK, n_nodes - 1) * 8
+    assert peak < (_BLOCK + n_modes + 24) * row + scratch
+
+
+@pytest.mark.parametrize("n_steps", [2 * _BLOCK, 3 * _BLOCK + _SUB + 1], ids=["no_tail", "tail"])
+@pytest.mark.parametrize("interior", [7, 8, 9, 24])
+def test_column_chunks_match_one_chunk(interior, n_steps, monkeypatch):
+    # the block phase walks the J-1 interior nodes one column chunk of
+    # _CHUNK at a time; with a chunk of 8, J-1 below, equal to, one above and
+    # a multiple of it must give the solve of one chunk: bit for bit without
+    # the SOE tail, within 1e-13 with it, and the same passes.  Only the
+    # stability margins may move by rounding: each step's source norm sums
+    # its squares chunk by chunk
+    alpha = 0.5
+    problem = example1(alpha)
+    mesh = build_graded_mesh(1.0, n_steps, 1.5)
+    grid = build_spatial_grid(1.0, interior + 1)
+    runs = []
+    for chunk in (8, interior):
+        monkeypatch.setattr(scheme, "_CHUNK", chunk)
+        runs.append(solve(problem, mesh, grid, alpha, SchemeConfig(), keep_trajectory=True))
+    chunked, whole = runs
+    assert [r.iterations for r in chunked.reports] == [r.iterations for r in whole.reports]
+    scale = np.max(np.abs(whole.trajectory))
+    if n_steps <= 2 * _BLOCK:
+        assert np.array_equal(chunked.trajectory, whole.trajectory)
+        increments = [[r.final_increment for r in run.reports] for run in runs]
+        assert increments[0] == increments[1]
+    else:
+        assert np.max(np.abs(chunked.trajectory - whole.trajectory)) <= 1e-13 * scale
+    margins = np.array([[r.stability_margin for r in run.reports] for run in runs])
+    assert np.max(np.abs(margins[0] - margins[1])) <= 1e-13 * np.max(np.abs(margins))
 
 
 @pytest.mark.parametrize("n_steps", [_SUB - 1, _SUB + 1, 2 * _BLOCK + _SUB + 1])
 def test_forcing_norms_are_each_steps_source_norm(n_steps, monkeypatch):
     # the energy budget adds 2 k_n ||f^{n-1/2}|| per step, with the norms
-    # of a whole sub-block's sources taken at once; with U^0 = 0 the bound
-    # each step checks is that budget alone, and it must be the budget of
+    # of a whole block's sources summed a column chunk at a time (here 24,
+    # 24 and 15 of the 63 interior nodes); with U^0 = 0 the bound each step
+    # checks is that budget alone, and it must be the budget of
     # norm_l2(factors[n-1] @ profiles), step by step, within 1e-14
     bounds, check = [], scheme._check_stability
 
@@ -531,6 +566,7 @@ def test_forcing_norms_are_each_steps_source_norm(n_steps, monkeypatch):
         return check(bound, u_new, h, step)
 
     monkeypatch.setattr(scheme, "_check_stability", recorded)
+    monkeypatch.setattr(scheme, "_CHUNK", 24)
     problem = example2(0.75)
     mesh = build_graded_mesh(1.0, n_steps, 1.5)
     grid = build_spatial_grid(1.0, 64)

@@ -65,3 +65,54 @@ def test_tools_exit_2_when_git_cannot_archive_the_ref(tool):
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"{tool}: git archive no/such-ref failed")
+
+
+def test_ab_starts_the_workers_in_random_order_and_pairs_their_memory(monkeypatch):
+    # neither tree's worker always starts first, and each tree's memory is
+    # recorded under its own side
+    ab = _ab()
+    starts = []
+
+    class Worker:
+        def __init__(self, src, case, cwd):
+            starts.append(src)
+            self.memory = {"rss_mb": 40.0 + len(src), "traced_mb": float(len(src))}
+
+        def sample(self):
+            return 0.1
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(ab, "_Worker", Worker)
+    rng = random.Random(0)
+    firsts = set()
+    for _ in range(20):
+        starts.clear()
+        result = ab.compare(("ref", "tree"), {}, 0.0, ".", rng)
+        assert sorted(starts) == ["ref", "tree"]
+        firsts.add(starts[0])
+        assert result["pairs"] == 6 and result["median_ratio"] == 1.0
+        assert (result["ref_rss_mb"], result["tree_rss_mb"]) == (43.0, 44.0)
+        assert (result["ref_traced_mb"], result["tree_traced_mb"]) == (3.0, 4.0)
+    assert firsts == {"ref", "tree"}
+
+
+def test_ab_worker_reports_its_memory_after_the_warm_up(tmp_path):
+    # the worker runs from a copy of this tree's src, as ab runs it, and
+    # reports its peak RSS after the untimed sample and the traced peak of
+    # one more sample before it takes any timed one
+    ab = _ab()
+    src = ab.tree_src(str(tmp_path / "new"))
+    assert (src / "memburgers" / "scheme.py").read_bytes() == (
+        ROOT / "src" / "memburgers" / "scheme.py").read_bytes()
+    assert not list(src.rglob("__pycache__"))
+    case = dict(problem="example1", alpha=0.5, gamma=1.5, f_mode="endpoint_average", N=8, J=16,
+                levels=0)
+    worker = ab._Worker(src, case, str(tmp_path))
+    try:
+        assert worker.sample() > 0.0
+    finally:
+        worker.close()
+    assert set(worker.memory) == {"rss_mb", "traced_mb"}
+    assert 0.0 < worker.memory["traced_mb"] < 1.0 < worker.memory["rss_mb"]

@@ -3,24 +3,28 @@
     python tools/ab.py REF [--workload W] [--seconds S]     # e.g. HEAD~1
 
 Takes REF's src/ with `git archive` into a temporary directory, through
-tools/bitwise.py's ref_src, and times the workloads of bench/run.py (the cases
-tools/bitwise.py states for them).  For each workload it starts one worker
-process per tree, each with OPENBLAS_NUM_THREADS=1 (with more, the idle
-worker's BLAS threads compete for the cores), builds the inputs once and
-runs one untimed sample in each.  Then it takes pairs of samples until S
-seconds have passed: one sample from each tree, in random order within the
-pair, one process running at a time.  A sample is one `solve`, or one
-`run_study` for `singular_study`.  The ratio of a pair is this tree's time
-over REF's, so the slow and fast periods of a shared machine, which last
-seconds to minutes, cancel within a pair.
+tools/bitwise.py's ref_src, and copies this working tree's src/ beside it,
+so that both trees import from the same kind of place.  It times the
+workloads of bench/run.py (the cases tools/bitwise.py states for them).
+For each workload it starts one worker process per tree, in random order,
+each with OPENBLAS_NUM_THREADS=1 (with more, the idle worker's BLAS threads
+compete for the cores).  A worker builds the inputs once and runs one
+untimed sample, then reads its peak resident set size (ru_maxrss, as
+bench/run.py reads peak_rss_mb after its warm-up sample), then runs one
+more sample under tracemalloc for its peak of traced allocations.  Then it
+takes pairs of samples until S seconds have passed: one sample from each
+tree, in random order within the pair, one process running at a time.  A
+sample is one `solve`, or one `run_study` for `singular_study`.  The ratio
+of a pair is this tree's time over REF's, so the slow and fast periods of a
+shared machine, which last seconds to minutes, cancel within a pair.
 
 It prints, per workload, the number of pairs, the median ratio with its 95%
 order-statistic interval (distribution-free: the interval between two order
 statistics of the pairs' ratios that holds the median with at least 95%
-probability), and each tree's median time.  The last line of stdout is the
-JSON record of the run.  It writes no file.  It exits 2 if REF cannot be
-archived, 1 if a worker fails, else 0.  It is not a gate: bench/run.py's
-absolute metrics are.
+probability), each tree's median time, and each tree's peak RSS and traced
+peak in MB.  The last line of stdout is the JSON record of the run.  It
+writes no file.  It exits 2 if REF cannot be archived, 1 if a worker fails,
+else 0.  It is not a gate: bench/run.py's absolute metrics are.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import json
 import math
 import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,9 +47,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 
 # runs in a fresh interpreter with one tree's src on PYTHONPATH; argv[1] is the case.
-# Each line on stdin asks for one sample; the answer is its wall time in seconds
+# Its first line is its memory (MB) as JSON; then each line on stdin asks for one
+# sample, and the answer is its wall time in seconds
 WORKER = """
-import json, sys, time
+import json, resource, sys, time, tracemalloc
 import memburgers as mb
 
 case = json.loads(sys.argv[1])
@@ -61,7 +67,12 @@ else:
     config = mb.SchemeConfig(f_mode=case["f_mode"])
     sample = lambda: mb.solve(problem, mesh, grid, case["alpha"], config)
 sample()
-print("ready", flush=True)
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+tracemalloc.start()
+sample()
+traced_mb = tracemalloc.get_traced_memory()[1] / 1e6
+tracemalloc.stop()
+print(json.dumps({"rss_mb": rss_mb, "traced_mb": traced_mb}), flush=True)
 for _ in sys.stdin:
     start = time.perf_counter()
     sample()
@@ -100,13 +111,20 @@ def median_interval(values: Sequence[float], level: float = 0.95) -> Tuple[float
     return x[j], x[n - 1 - j]
 
 
+def tree_src(into: str) -> Path:
+    """Copy this working tree's src/ (without bytecode caches) into the directory
+    into, as ref_src extracts REF's, and return its path."""
+    return Path(shutil.copytree(ROOT / "src", Path(into) / "src",
+                                ignore=shutil.ignore_patterns("__pycache__")))
+
+
 class _Worker:
     def __init__(self, src: Path, case: Dict, cwd: str):
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
         self.proc = subprocess.Popen([sys.executable, "-c", WORKER, json.dumps(case)], cwd=cwd,
                                      env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      stderr=subprocess.PIPE, text=True)
-        self._read()  # "ready": inputs built, one sample run
+        self.memory: Dict[str, float] = json.loads(self._read())  # inputs built, samples run
 
     def _read(self) -> str:
         line = self.proc.stdout.readline()
@@ -135,11 +153,12 @@ class _Worker:
 
 def compare(trees: Tuple[Path, Path], case: Dict, seconds: float, cwd: str,
             rng: random.Random) -> Dict[str, object]:
-    """Time pairs of samples of case, REF's tree first in trees, for seconds."""
-    workers: List[_Worker] = []
+    """Time pairs of samples of case, REF's tree first in trees, for seconds,
+    and take each tree's memory."""
+    workers: Dict[int, _Worker] = {}
     try:
-        for src in trees:
-            workers.append(_Worker(src, case, cwd))
+        for side in rng.sample([0, 1], 2):
+            workers[side] = _Worker(trees[side], case, cwd)
         times: Tuple[List[float], List[float]] = ([], [])
         end = time.monotonic() + seconds
         while time.monotonic() < end or len(times[0]) < 6:
@@ -148,12 +167,16 @@ def compare(trees: Tuple[Path, Path], case: Dict, seconds: float, cwd: str,
             for side in order:
                 times[side].append(workers[side].sample())
     finally:
-        for worker in workers:
+        for worker in workers.values():
             worker.close()
     ratios = [new / ref for ref, new in zip(*times)]
     low, high = median_interval(ratios)
-    return {"pairs": len(ratios), "median_ratio": statistics.median(ratios), "ci95": [low, high],
-            "ref_median_s": statistics.median(times[0]), "tree_median_s": statistics.median(times[1])}
+    result = {"pairs": len(ratios), "median_ratio": statistics.median(ratios), "ci95": [low, high],
+              "ref_median_s": statistics.median(times[0]),
+              "tree_median_s": statistics.median(times[1])}
+    for key in ("rss_mb", "traced_mb"):
+        result[f"ref_{key}"], result[f"tree_{key}"] = (workers[side].memory[key] for side in (0, 1))
+    return result
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -171,7 +194,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     bitwise = _bitwise()
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            trees = (bitwise.ref_src(args.ref, tmp), ROOT / "src")
+            # both trees' src under tmp, in directories of one name length
+            trees = (bitwise.ref_src(args.ref, f"{tmp}/ref"), tree_src(f"{tmp}/new"))
         except bitwise.ArchiveError as error:
             print(f"ab: {error}", file=sys.stderr)
             return 2
@@ -185,7 +209,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             low, high = result["ci95"]
             print(f"{name:15s} tree/{args.ref} = {result['median_ratio']:.3f} "
                   f"(95% interval {low:.3f}-{high:.3f}, {result['pairs']} pairs; medians "
-                  f"{result['ref_median_s']:.4f} s -> {result['tree_median_s']:.4f} s)")
+                  f"{result['ref_median_s']:.4f} s -> {result['tree_median_s']:.4f} s; peak RSS "
+                  f"{result['ref_rss_mb']:.2f} -> {result['tree_rss_mb']:.2f} MB, traced "
+                  f"{result['ref_traced_mb']:.2f} -> {result['tree_traced_mb']:.2f} MB)")
     print(json.dumps(record))
     return 0
 
